@@ -12,7 +12,7 @@ use paqoc_core::{compile, PipelineOptions};
 use paqoc_device::{transmon_xy_controls, AnalyticModel, Device, HardwareSpec, PulseSource};
 use paqoc_grape::{optimize, GrapeOptions};
 use paqoc_mapping::{sabre_map, SabreOptions};
-use paqoc_math::{expm, weyl_coordinates, C64};
+use paqoc_math::{expm, expm_into, weyl_coordinates, ExpmScratch, Matrix, C64};
 use paqoc_mining::{mine_frequent_subcircuits, MinerOptions};
 use paqoc_workloads::benchmark;
 use std::hint::black_box;
@@ -69,6 +69,28 @@ fn bench_expm() {
     });
 }
 
+/// The d = 4 kernels on the workspace path, at the size of a 2-qubit
+/// GRAPE step (drift + 5 channels).
+fn bench_kernels_4x4() {
+    let controls = transmon_xy_controls(2, &[(0, 1)], &HardwareSpec::transmon_xy());
+    let mut h = controls.drift.clone();
+    for ch in &controls.channels {
+        h.axpy(C64::real(0.01), &ch.operator);
+    }
+    let a = h.scaled(C64::new(0.0, -3.0));
+    let u = expm(&a);
+    let mut out = Matrix::zeros(4, 4);
+    bench("matmul_into_4x4", || {
+        black_box(&u).matmul_into(black_box(&u), &mut out);
+        black_box(&out);
+    });
+    let mut scratch = ExpmScratch::new(4);
+    bench("expm_into_4x4", || {
+        expm_into(black_box(&a), &mut out, &mut scratch);
+        black_box(&out);
+    });
+}
+
 fn bench_weyl() {
     let u = paqoc_math::random_unitary_seeded(4, 42);
     bench("weyl_coordinates_4x4", || {
@@ -77,16 +99,22 @@ fn bench_weyl() {
 }
 
 fn bench_grape_iteration() {
-    let controls = transmon_xy_controls(1, &[], &HardwareSpec::transmon_xy());
-    let target = GateKind::H.unitary(&[]);
     let opts = GrapeOptions {
         max_iters: 10,
         restarts: 1,
         target_fidelity: 1.1, // never met: measures 10 raw iterations
         ..GrapeOptions::default()
     };
+    let controls = transmon_xy_controls(1, &[], &HardwareSpec::transmon_xy());
+    let target = GateKind::H.unitary(&[]);
     bench("grape_10_iterations_1q", || {
         black_box(optimize(black_box(&target), &controls, 12, &opts, None));
+    });
+    // Two qubits, five channels: the size the GRAPE-backed compile runs.
+    let controls = transmon_xy_controls(2, &[(0, 1)], &HardwareSpec::transmon_xy());
+    let target = GateKind::Cx.unitary(&[]);
+    bench("grape_10_iterations_2q", || {
+        black_box(optimize(black_box(&target), &controls, 32, &opts, None));
     });
 }
 
@@ -160,6 +188,7 @@ fn bench_compile_configs() {
 fn main() {
     println!("kernel micro-benchmarks (Instant harness, 0.5 s window each)");
     bench_expm();
+    bench_kernels_4x4();
     bench_weyl();
     bench_grape_iteration();
     bench_analytic_model();

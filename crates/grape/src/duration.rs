@@ -47,47 +47,55 @@ pub fn minimize_duration(
 ) -> Option<DurationSearch> {
     let mut trials = 0usize;
     let mut total_iterations = 0usize;
-    let mut run = |steps: usize| -> GrapeResult {
+    let (steps, result) = shortest_feasible(initial_steps, |steps| {
         trials += 1;
         let r = optimize(target, controls, steps, opts, warm_start);
         total_iterations += r.iterations;
-        r
-    };
-
-    // Bracket: double until success.
-    let mut hi = initial_steps.clamp(2, MAX_STEPS);
-    let mut hi_result = run(hi);
-    while hi_result.fidelity < opts.target_fidelity {
-        if hi >= MAX_STEPS {
-            return None;
-        }
-        hi = (hi * 2).min(MAX_STEPS);
-        hi_result = run(hi);
-    }
-
-    // Binary search in (lo, hi]: lo is known-infeasible (or zero).
-    let mut lo = if hi == initial_steps.clamp(2, MAX_STEPS) {
-        1 // initial guess already worked: probe below it
-    } else {
-        hi / 2 // the previous doubling step failed
-    };
-    let mut best = (hi, hi_result);
-    while lo + 1 < best.0 {
-        let mid = (lo + best.0) / 2;
-        let r = run(mid);
-        if r.fidelity >= opts.target_fidelity {
-            best = (mid, r);
-        } else {
-            lo = mid;
-        }
-    }
-
+        (r.fidelity >= opts.target_fidelity).then_some(r)
+    })?;
     Some(DurationSearch {
-        steps: best.0,
-        result: best.1,
+        steps,
+        result,
         trials,
         total_iterations,
     })
+}
+
+/// Brackets then bisects for the shortest step count at which `probe`
+/// succeeds (returns `Some`), assuming success is monotone in the step
+/// count. Doubling from `initial_steps` (clamped to `2..=MAX_STEPS`)
+/// brackets the boundary; the bisection then only probes above the
+/// longest step count known to fail, so it never re-probes that range
+/// and never returns a step count shorter than a failed probe — even
+/// when the last doubling was clamped at `MAX_STEPS`. Returns `None`
+/// when `MAX_STEPS` fails.
+fn shortest_feasible<T>(
+    initial_steps: usize,
+    mut probe: impl FnMut(usize) -> Option<T>,
+) -> Option<(usize, T)> {
+    // `lo` is the longest step count known to fail; 1 when nothing
+    // below the first probe was tried (one step is never probed).
+    let mut lo = 1;
+    let mut hi = initial_steps.clamp(2, MAX_STEPS);
+    let mut best = loop {
+        match probe(hi) {
+            Some(r) => break (hi, r),
+            None if hi >= MAX_STEPS => return None,
+            None => {
+                lo = hi;
+                hi = (hi * 2).min(MAX_STEPS);
+            }
+        }
+    };
+    // Binary search in (lo, best.0].
+    while lo + 1 < best.0 {
+        let mid = (lo + best.0) / 2;
+        match probe(mid) {
+            Some(r) => best = (mid, r),
+            None => lo = mid,
+        }
+    }
+    Some(best)
 }
 
 #[cfg(test)]
@@ -127,6 +135,58 @@ mod tests {
         let search = minimize_duration(&target, &controls1(), &opts, 2, None).expect("feasible");
         assert!(search.steps >= 9, "steps {}", search.steps);
         assert!(search.trials >= 3); // had to double at least twice
+    }
+
+    /// The step counts `shortest_feasible` probes, in order, and its answer.
+    fn probes(initial: usize, feasible: impl Fn(usize) -> bool) -> (Vec<usize>, Option<usize>) {
+        let mut seen = Vec::new();
+        let found = shortest_feasible(initial, |steps| {
+            seen.push(steps);
+            feasible(steps).then_some(())
+        });
+        (seen, found.map(|(steps, ())| steps))
+    }
+
+    #[test]
+    fn bisection_starts_above_the_last_failed_probe_after_capped_doubling() {
+        // 300 and 600 fail, doubling clamps at 1024; the boundary is 700.
+        let (seen, found) = probes(300, |s| s >= 700);
+        assert_eq!(found, Some(700));
+        assert_eq!(
+            seen,
+            [300, 600, 1024, 812, 706, 653, 679, 692, 699, 702, 700],
+            "no probe may fall at or below the failed 600"
+        );
+        // GRAPE's success is not monotone in the step count. Bisecting
+        // from 512 would probe 768, 640 and 576 here and return 576,
+        // shorter than the failed 600.
+        let (seen, found) = probes(300, |s| s >= 700 || s == 640 || s == 576);
+        assert_eq!(found, Some(700));
+        assert!(seen[2..].iter().all(|&s| s > 600), "probed {seen:?}");
+    }
+
+    #[test]
+    fn uncapped_doubling_bisects_between_the_last_two_probes() {
+        let (seen, found) = probes(10, |s| s >= 33);
+        assert_eq!(found, Some(33));
+        assert_eq!(seen, [10, 20, 40, 30, 35, 32, 33]);
+    }
+
+    #[test]
+    fn a_feasible_first_guess_bisects_down_to_two_steps() {
+        let (seen, found) = probes(12, |s| s >= 5);
+        assert_eq!(found, Some(5));
+        assert_eq!(seen, [12, 6, 3, 4, 5]);
+        // One step is never probed: two is the floor.
+        assert_eq!(probes(4, |_| true), (vec![4, 2], Some(2)));
+    }
+
+    #[test]
+    fn infeasible_at_the_cap_returns_none() {
+        let (seen, found) = probes(600, |_| false);
+        assert_eq!(found, None);
+        assert_eq!(seen, [600, 1024]);
+        assert_eq!(probes(5000, |_| false), (vec![1024], None));
     }
 
     #[test]

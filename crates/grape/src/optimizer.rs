@@ -8,8 +8,9 @@
 //! approximation `∂U_j/∂α ≈ −i·2π·dt·H_k·U_j`, which is accurate for the
 //! small step norms used here.
 
+use crate::sim::load_step_generator;
 use paqoc_device::ControlSet;
-use paqoc_math::{expm, Matrix, Rng, C64};
+use paqoc_math::{expm_into, ExpmScratch, Matrix, Rng, C64};
 
 /// A piecewise-constant control schedule.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,13 +99,13 @@ pub fn optimize(
         controls.dim(),
         "target dimension must match the control system"
     );
-    let num_channels = controls.channels.len();
+    let mut ws = Workspace::new(target, controls, steps);
     let mut total_iters = 0usize;
-    let run_restart = |restart: usize, total_iters: &mut usize| -> GrapeResult {
+    let mut run_restart = |restart: usize, total_iters: &mut usize| -> GrapeResult {
         paqoc_telemetry::counter("grape.restarts", 1);
         let mut rng = Rng::seed_from_u64(opts.seed.wrapping_add(restart as u64));
-        let mut theta = initial_theta(steps, num_channels, warm_start, controls, &mut rng);
-        let (fid, iters) = adam_loop(target, controls, &mut theta, opts);
+        initial_theta(&mut ws.theta, warm_start, controls, &mut rng);
+        let (fid, iters) = adam_loop(&mut ws, controls, opts);
         *total_iters += iters;
         paqoc_telemetry::counter("grape.iterations", iters as u64);
         paqoc_telemetry::observe("grape.iterations_per_restart", iters as f64);
@@ -115,7 +116,7 @@ pub fn optimize(
             fidelity = fid,
         );
         GrapeResult {
-            pulse: theta_to_pulse(&theta, controls, opts.step_ns),
+            pulse: theta_to_pulse(&ws.theta, steps, controls, opts.step_ns),
             fidelity: fid,
             iterations: *total_iters,
         }
@@ -140,6 +141,67 @@ pub fn optimize(
     best
 }
 
+/// Every buffer the ADAM loop touches, sized once per [`optimize`] call
+/// and reused by all its iterations and restarts, so the loop itself
+/// allocates nothing. Parameter vectors are flat: entry `j·channels + k`
+/// belongs to channel `k` of step `j`.
+struct Workspace {
+    /// Squashed control parameters being optimized.
+    theta: Vec<f64>,
+    /// ADAM first-moment estimates.
+    m: Vec<f64>,
+    /// ADAM second-moment estimates.
+    v: Vec<f64>,
+    /// Parameters of the best fidelity seen in the current restart.
+    best_theta: Vec<f64>,
+    /// Step generator `−i·2π·dt·H_j`, rebuilt for each step.
+    h: Matrix,
+    /// `props[j] = U_j`, the step propagators.
+    props: Vec<Matrix>,
+    /// `fwd[j] = U_j ⋯ U_1` (prefix products).
+    fwd: Vec<Matrix>,
+    /// `bwd[j] = U_N ⋯ U_{j+1}`; the last entry stays the identity.
+    bwd: Vec<Matrix>,
+    /// `U_target†`, fixed for the whole call.
+    tdag: Matrix,
+    /// `U_target† · U_total` for the overlap, then `U_target† · B_j`.
+    left: Matrix,
+    /// `H_k · F_j` for the gradient.
+    hk_right: Matrix,
+    /// Padé scratch for the step exponentials.
+    expm: ExpmScratch,
+}
+
+impl Workspace {
+    fn new(target: &Matrix, controls: &ControlSet, steps: usize) -> Self {
+        let dim = controls.dim();
+        let params = steps * controls.channels.len();
+        let matrices = |count: usize| -> Vec<Matrix> {
+            (0..count).map(|_| Matrix::workspace(dim, dim)).collect()
+        };
+        let mut tdag = Matrix::workspace(dim, dim);
+        target.dagger_into(&mut tdag);
+        let mut bwd = matrices(steps);
+        for i in 0..dim {
+            bwd[steps - 1][(i, i)] = C64::ONE;
+        }
+        Workspace {
+            theta: vec![0.0; params],
+            m: vec![0.0; params],
+            v: vec![0.0; params],
+            best_theta: vec![0.0; params],
+            h: Matrix::workspace(dim, dim),
+            props: matrices(steps),
+            fwd: matrices(steps),
+            bwd,
+            tdag,
+            left: Matrix::workspace(dim, dim),
+            hk_right: Matrix::workspace(dim, dim),
+            expm: ExpmScratch::new(dim),
+        }
+    }
+}
+
 /// Squash parameter → bounded amplitude.
 #[inline]
 fn squash(theta: f64, a_max: f64) -> f64 {
@@ -154,43 +216,39 @@ fn squash_grad(theta: f64, a_max: f64) -> f64 {
 }
 
 fn initial_theta(
-    steps: usize,
-    num_channels: usize,
+    theta: &mut [f64],
     warm_start: Option<&Pulse>,
     controls: &ControlSet,
     rng: &mut Rng,
-) -> Vec<Vec<f64>> {
-    let mut theta = vec![vec![0.0f64; num_channels]; steps];
+) {
+    let num_channels = controls.channels.len();
     match warm_start {
         Some(p) if p.amplitudes.first().map(Vec::len) == Some(num_channels) => {
-            for (j, row) in theta.iter_mut().enumerate() {
+            for (i, t) in theta.iter_mut().enumerate() {
+                let (j, k) = (i / num_channels, i % num_channels);
                 let src = &p.amplitudes[j.min(p.amplitudes.len() - 1)];
-                for k in 0..num_channels {
-                    let a_max = controls.channels[k].max_amp;
-                    let ratio = (src[k] / a_max).clamp(-0.999, 0.999);
-                    row[k] = ratio.atanh();
-                }
+                let a_max = controls.channels[k].max_amp;
+                let ratio = (src[k] / a_max).clamp(-0.999, 0.999);
+                *t = ratio.atanh();
             }
         }
         _ => {
-            for row in &mut theta {
-                for t in row.iter_mut() {
-                    *t = (rng.random::<f64>() - 0.5) * 1.2;
-                }
+            for t in theta.iter_mut() {
+                *t = (rng.random::<f64>() - 0.5) * 1.2;
             }
         }
     }
-    theta
 }
 
-fn theta_to_pulse(theta: &[Vec<f64>], controls: &ControlSet, step_ns: f64) -> Pulse {
+fn theta_to_pulse(theta: &[f64], steps: usize, controls: &ControlSet, step_ns: f64) -> Pulse {
+    let num_channels = controls.channels.len();
     Pulse {
         step_ns,
         channel_names: controls.channels.iter().map(|c| c.name.clone()).collect(),
-        amplitudes: theta
-            .iter()
-            .map(|row| {
-                row.iter()
+        amplitudes: (0..steps)
+            .map(|j| {
+                theta[j * num_channels..(j + 1) * num_channels]
+                    .iter()
                     .zip(&controls.channels)
                     .map(|(&t, ch)| squash(t, ch.max_amp))
                     .collect()
@@ -199,60 +257,59 @@ fn theta_to_pulse(theta: &[Vec<f64>], controls: &ControlSet, step_ns: f64) -> Pu
     }
 }
 
-/// Runs ADAM; returns (best fidelity, iterations used).
-fn adam_loop(
-    target: &Matrix,
-    controls: &ControlSet,
-    theta: &mut Vec<Vec<f64>>,
-    opts: &GrapeOptions,
-) -> (f64, usize) {
-    let steps = theta.len();
+/// Runs ADAM from `ws.theta`, leaving the best parameters there; returns
+/// (best fidelity, iterations used).
+fn adam_loop(ws: &mut Workspace, controls: &ControlSet, opts: &GrapeOptions) -> (f64, usize) {
+    let Workspace {
+        theta,
+        m,
+        v,
+        best_theta,
+        h,
+        props,
+        fwd,
+        bwd,
+        tdag,
+        left,
+        hk_right,
+        expm,
+    } = ws;
+    let steps = props.len();
     let num_channels = controls.channels.len();
-    let d = controls.dim() as f64;
+    let dim = controls.dim();
+    let d = dim as f64;
     let two_pi_dt = 2.0 * std::f64::consts::PI * opts.step_ns;
 
-    let mut m = vec![vec![0.0f64; num_channels]; steps];
-    let mut v = vec![vec![0.0f64; num_channels]; steps];
-    let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
+    m.fill(0.0);
+    v.fill(0.0);
+    let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8);
     let mut best_fid = 0.0f64;
-    let mut best_theta: Option<Vec<Vec<f64>>> = None;
+    let mut have_best = false;
 
     for iter in 1..=opts.max_iters {
         // Forward pass: per-step propagators and cumulative products.
-        let propagation = paqoc_telemetry::kernel_enter("grape.propagation", controls.dim());
-        let mut step_h: Vec<Matrix> = Vec::with_capacity(steps);
-        let mut props: Vec<Matrix> = Vec::with_capacity(steps);
-        for row in theta.iter() {
-            let mut h = controls.drift.clone();
-            for (k, ch) in controls.channels.iter().enumerate() {
-                let amp = squash(row[k], ch.max_amp);
-                if amp != 0.0 {
-                    h.axpy(C64::real(amp), &ch.operator);
-                }
-            }
-            let u = expm(&h.scaled(C64::new(0.0, -two_pi_dt)));
-            step_h.push(h);
-            props.push(u);
+        let propagation = paqoc_telemetry::kernel_enter("grape.propagation", dim);
+        for (j, u) in props.iter_mut().enumerate() {
+            let row = &theta[j * num_channels..(j + 1) * num_channels];
+            load_step_generator(h, controls, two_pi_dt, |k| {
+                squash(row[k], controls.channels[k].max_amp)
+            });
+            expm_into(h, u, expm);
         }
-        // fwd[j] = U_j ⋯ U_1 (prefix products), bwd[j] = U_N ⋯ U_{j+1}.
-        let mut fwd: Vec<Matrix> = Vec::with_capacity(steps);
-        for (j, u) in props.iter().enumerate() {
-            let f = if j == 0 {
-                u.clone()
-            } else {
-                u.matmul(&fwd[j - 1])
-            };
-            fwd.push(f);
+        fwd[0].as_mut_slice().copy_from_slice(props[0].as_slice());
+        for j in 1..steps {
+            let (done, rest) = fwd.split_at_mut(j);
+            props[j].matmul_into(&done[j - 1], &mut rest[0]);
         }
-        let mut bwd: Vec<Matrix> = vec![Matrix::identity(controls.dim()); steps];
         for j in (0..steps.saturating_sub(1)).rev() {
-            bwd[j] = bwd[j + 1].matmul(&props[j + 1]);
+            let (head, tail) = bwd.split_at_mut(j + 1);
+            tail[0].matmul_into(&props[j + 1], &mut head[j]);
         }
 
         drop(propagation);
 
-        let total = &fwd[steps - 1];
-        let overlap = target.dagger().matmul(total).trace();
+        tdag.matmul_into(&fwd[steps - 1], left);
+        let overlap = left.trace();
         let fid = (overlap.norm_sqr() / (d * d)).min(1.0);
         if !fid.is_finite() {
             // A numerically diverged step (overflowed propagator, NaN in
@@ -261,14 +318,15 @@ fn adam_loop(
             // *panics*, not quiet NaN fixpoints. Abort the loop and
             // return the best finite state instead.
             paqoc_telemetry::counter("grape.nan_aborts", 1);
-            if let Some(b) = best_theta {
-                *theta = b;
+            if have_best {
+                theta.copy_from_slice(best_theta);
             }
             return (best_fid, iter);
         }
         if fid > best_fid {
             best_fid = fid;
-            best_theta = Some(theta.clone());
+            best_theta.copy_from_slice(theta);
+            have_best = true;
         }
         // Convergence series for the event journal: sampled so a full
         // optimization adds a handful of records, not one per iteration.
@@ -281,25 +339,25 @@ fn adam_loop(
             );
         }
         if fid >= opts.target_fidelity {
-            if let Some(b) = best_theta {
-                *theta = b;
+            if have_best {
+                theta.copy_from_slice(best_theta);
             }
             return (best_fid, iter);
         }
 
         // Gradient: dg/dα_{kj} = Tr(U_t† · B_j · (−i·2π·dt·H_k) · F_j)
         // with F_j the prefix *including* step j (first-order GRAPE).
-        paqoc_telemetry::kernel_probe!("grape.gradient", controls.dim());
-        let tdag = target.dagger();
+        paqoc_telemetry::kernel_probe!("grape.gradient", dim);
+        let bias1 = 1.0 - beta1.powi(iter as i32);
+        let bias2 = 1.0 - beta2.powi(iter as i32);
         for j in 0..steps {
             // M_j = U_t† · B_j ; row-product with (−i 2π dt H_k) F_j.
-            let left = tdag.matmul(&bwd[j]);
+            tdag.matmul_into(&bwd[j], left);
             let right = &fwd[j];
             for (k, ch) in controls.channels.iter().enumerate() {
                 // dg = Tr(left · (−i 2π dt H_k) · right)
-                let hk_right = ch.operator.matmul(right);
+                ch.operator.matmul_into(right, hk_right);
                 let mut dg = C64::ZERO;
-                let dim = controls.dim();
                 for r in 0..dim {
                     for c in 0..dim {
                         dg = dg.mul_add(left[(r, c)], hk_right[(c, r)]);
@@ -308,19 +366,20 @@ fn adam_loop(
                 let dg = dg * C64::new(0.0, -two_pi_dt);
                 // dF/dα = 2·Re(conj(g)·dg)/d²  (maximize → ascend)
                 let dfda = 2.0 * (overlap.conj() * dg).re / (d * d);
-                let grad = dfda * squash_grad(theta[j][k], ch.max_amp);
+                let p = j * num_channels + k;
+                let grad = dfda * squash_grad(theta[p], ch.max_amp);
 
                 // ADAM ascent step.
-                m[j][k] = beta1 * m[j][k] + (1.0 - beta1) * grad;
-                v[j][k] = beta2 * v[j][k] + (1.0 - beta2) * grad * grad;
-                let mc = m[j][k] / (1.0 - beta1.powi(iter as i32));
-                let vc = v[j][k] / (1.0 - beta2.powi(iter as i32));
-                theta[j][k] += opts.learning_rate * mc / (vc.sqrt() + eps);
+                m[p] = beta1 * m[p] + (1.0 - beta1) * grad;
+                v[p] = beta2 * v[p] + (1.0 - beta2) * grad * grad;
+                let mc = m[p] / bias1;
+                let vc = v[p] / bias2;
+                theta[p] += opts.learning_rate * mc / (vc.sqrt() + eps);
             }
         }
     }
-    if let Some(b) = best_theta {
-        *theta = b;
+    if have_best {
+        theta.copy_from_slice(best_theta);
     }
     (best_fid, opts.max_iters)
 }

@@ -9,33 +9,59 @@
 use crate::optimizer::Pulse;
 use paqoc_circuit::embed_unitary;
 use paqoc_device::ControlSet;
-use paqoc_math::{expm, trace_fidelity, Matrix, C64};
+use paqoc_math::{expm_into, trace_fidelity, ExpmScratch, Matrix, C64};
 
 /// Propagates a pulse through its control system, returning the realized
-/// unitary `U = Π_j exp(-i·2π·dt·H_j)`.
+/// unitary `U = Π_j exp(-i·2π·dt·H_j)`. The scratch is allocated once per
+/// call; the per-step loop allocates nothing.
 ///
 /// # Panics
 ///
 /// Panics if the pulse channel count disagrees with the control set.
 pub fn propagate(pulse: &Pulse, controls: &ControlSet) -> Matrix {
+    let dim = controls.dim();
     let two_pi_dt = 2.0 * std::f64::consts::PI * pulse.step_ns;
-    let mut u = Matrix::identity(controls.dim());
+    let mut generator = Matrix::workspace(dim, dim);
+    let mut step = Matrix::workspace(dim, dim);
+    let mut next = Matrix::workspace(dim, dim);
+    let mut scratch = ExpmScratch::new(dim);
+    let mut u = Matrix::identity(dim);
     for row in &pulse.amplitudes {
         assert_eq!(
             row.len(),
             controls.channels.len(),
             "pulse channels must match the control system"
         );
-        let mut h = controls.drift.clone();
-        for (k, ch) in controls.channels.iter().enumerate() {
-            if row[k] != 0.0 {
-                h.axpy(C64::real(row[k]), &ch.operator);
-            }
-        }
-        let step = expm(&h.scaled(C64::new(0.0, -two_pi_dt)));
-        u = step.matmul(&u);
+        load_step_generator(&mut generator, controls, two_pi_dt, |k| row[k]);
+        expm_into(&generator, &mut step, &mut scratch);
+        step.matmul_into(&u, &mut next);
+        std::mem::swap(&mut u, &mut next);
     }
     u
+}
+
+/// Writes the step generator `−i·2π·dt·(H_drift + Σ_k amp(k)·H_k)` into
+/// `out` (channels with a zero amplitude are skipped), the argument of
+/// the step's exponential. Shared by the optimizer and [`propagate`] so
+/// both build bit-identical propagators from the same amplitudes.
+pub(crate) fn load_step_generator(
+    out: &mut Matrix,
+    controls: &ControlSet,
+    two_pi_dt: f64,
+    amp: impl Fn(usize) -> f64,
+) {
+    out.as_mut_slice()
+        .copy_from_slice(controls.drift.as_slice());
+    for (k, ch) in controls.channels.iter().enumerate() {
+        let a = amp(k);
+        if a != 0.0 {
+            out.axpy(C64::real(a), &ch.operator);
+        }
+    }
+    let s = C64::new(0.0, -two_pi_dt);
+    for z in out.as_mut_slice() {
+        *z *= s;
+    }
 }
 
 /// One scheduled pulse: the realized small unitary and the physical

@@ -20,10 +20,52 @@ const PADE6: [f64; 7] = [
     1.0 / 665280.0,
 ];
 
+/// Reusable scratch for [`expm_into`]: the seven `n×n` temporaries of
+/// the Padé step (scaled argument, `A²`, `A⁴`, `A⁶`, the even part `V`,
+/// the odd part's inner sum and the odd part `U`). Build one per
+/// dimension and pass it to every call; the squaring phase ping-pongs
+/// between the output and a spent temporary.
+#[derive(Debug)]
+pub struct ExpmScratch {
+    a: Matrix,
+    a2: Matrix,
+    a4: Matrix,
+    a6: Matrix,
+    v: Matrix,
+    w: Matrix,
+    u: Matrix,
+}
+
+impl ExpmScratch {
+    /// Allocates scratch for `n × n` exponentials, counted as seven
+    /// `mathkit.expm` scratch allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        paqoc_telemetry::kernel_alloc(
+            "mathkit.expm",
+            7,
+            (7 * n * n * std::mem::size_of::<C64>()) as u64,
+        );
+        let z = Matrix::zeros(n, n);
+        ExpmScratch {
+            a: z.clone(),
+            a2: z.clone(),
+            a4: z.clone(),
+            a6: z.clone(),
+            v: z.clone(),
+            w: z.clone(),
+            u: z,
+        }
+    }
+}
+
 /// Computes the matrix exponential `e^A` of a square complex matrix.
 ///
-/// Uses a [6/6] Padé approximant with scaling and squaring; the number of
-/// squarings is chosen so the scaled norm is below `0.5`.
+/// Allocating wrapper over [`expm_into`] with fresh scratch; hot loops
+/// should keep an [`ExpmScratch`] and call [`expm_into`] instead.
 ///
 /// # Panics
 ///
@@ -44,55 +86,115 @@ const PADE6: [f64; 7] = [
 /// ```
 pub fn expm(a: &Matrix) -> Matrix {
     assert!(a.is_square(), "expm requires a square matrix");
-    paqoc_telemetry::kernel_probe!("mathkit.expm", a.rows());
-    // The Padé path allocates 9 fresh n×n scratch matrices per call
-    // (A_scaled, A², A⁴, A⁶, V, U_inner, U, V−U, V+U; matmul/solve
-    // count their own) — making that churn visible is what lets
-    // scratch reuse be measured instead of guessed.
+    let n = a.rows();
+    let mut scratch = ExpmScratch::new(n);
+    // The result is the eighth allocation of a one-off call.
     paqoc_telemetry::kernel_alloc(
         "mathkit.expm",
-        9,
-        (9 * a.rows() * a.rows() * std::mem::size_of::<C64>()) as u64,
+        1,
+        (n * n * std::mem::size_of::<C64>()) as u64,
     );
+    let mut out = Matrix::zeros(n, n);
+    expm_into(a, &mut out, &mut scratch);
+    out
+}
+
+/// Computes `e^A` into `out` without allocating.
+///
+/// Uses a [6/6] Padé approximant with scaling and squaring; the number of
+/// squarings is chosen so the scaled norm is below `0.5`. Dimensions 2, 4
+/// and 8 run fixed-dimension instantiations of the same kernel, which
+/// agree with the run-time-sized path bit for bit.
+///
+/// # Panics
+///
+/// Panics if `a` is not square, `out` does not have the shape of `a`,
+/// `scratch` serves another dimension, or the Padé solve fails (see
+/// [`expm`]).
+pub fn expm_into(a: &Matrix, out: &mut Matrix, scratch: &mut ExpmScratch) {
+    assert!(a.is_square(), "expm requires a square matrix");
+    let n = a.rows();
+    assert!(
+        out.rows() == n && out.cols() == n,
+        "expm output must be {n}×{n}, got {}×{}",
+        out.rows(),
+        out.cols()
+    );
+    assert_eq!(scratch.a.rows(), n, "expm scratch dimension mismatch");
+    match n {
+        2 => expm_n::<2>(a, out, scratch),
+        4 => expm_n::<4>(a, out, scratch),
+        8 => expm_n::<8>(a, out, scratch),
+        _ => expm_n::<0>(a, out, scratch),
+    }
+}
+
+/// The probed Padé kernel at compile-time dimension `N` (`0`: the
+/// run-time shape). Shapes are the caller's to check.
+pub(crate) fn expm_n<const N: usize>(a: &Matrix, out: &mut Matrix, s: &mut ExpmScratch) {
+    paqoc_telemetry::kernel_probe!("mathkit.expm", a.rows());
     let norm = a.one_norm();
     let squarings = if norm <= 0.5 {
         0
     } else {
         (norm / 0.5).log2().ceil() as u32
     };
-    let scale = 1.0 / f64::powi(2.0, squarings as i32);
-    let a_scaled = a.scaled(C64::real(scale));
+    let scale = C64::real(1.0 / f64::powi(2.0, squarings as i32));
+    for (o, &z) in s.a.as_mut_slice().iter_mut().zip(a.as_slice()) {
+        *o = z * scale;
+    }
 
     // Horner-style evaluation of even/odd power series:
     //   N = Σ c_k A^k split into U (odd) and V (even) so that
     //   exp(A) ≈ (V - U)^{-1} (V + U).
-    let n = a.rows();
-    let a2 = a_scaled.matmul(&a_scaled);
-    let a4 = a2.matmul(&a2);
-    let a6 = a2.matmul(&a4);
+    s.a.matmul_n::<N>(&s.a, &mut s.a2);
+    s.a2.matmul_n::<N>(&s.a2, &mut s.a4);
+    s.a2.matmul_n::<N>(&s.a4, &mut s.a6);
 
     // V = c0 I + c2 A² + c4 A⁴ + c6 A⁶ (even part)
-    let mut v = Matrix::identity(n).scaled(C64::real(PADE6[0]));
-    v.axpy(C64::real(PADE6[2]), &a2);
-    v.axpy(C64::real(PADE6[4]), &a4);
-    v.axpy(C64::real(PADE6[6]), &a6);
+    set_scaled_identity(&mut s.v, PADE6[0]);
+    s.v.axpy(C64::real(PADE6[2]), &s.a2);
+    s.v.axpy(C64::real(PADE6[4]), &s.a4);
+    s.v.axpy(C64::real(PADE6[6]), &s.a6);
 
     // U = A (c1 I + c3 A² + c5 A⁴) (odd part)
-    let mut u_inner = Matrix::identity(n).scaled(C64::real(PADE6[1]));
-    u_inner.axpy(C64::real(PADE6[3]), &a2);
-    u_inner.axpy(C64::real(PADE6[5]), &a4);
-    let u = a_scaled.matmul(&u_inner);
+    set_scaled_identity(&mut s.w, PADE6[1]);
+    s.w.axpy(C64::real(PADE6[3]), &s.a2);
+    s.w.axpy(C64::real(PADE6[5]), &s.a4);
+    s.a.matmul_n::<N>(&s.w, &mut s.u);
 
-    let denom = &v - &u;
-    let numer = &v + &u;
-    let mut result = denom
-        .solve(&numer)
-        .expect("Padé denominator is nonsingular after scaling");
+    // out = V + U (the right-hand side), then V becomes V − U.
+    for ((o, v), &u) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(s.v.as_mut_slice())
+        .zip(s.u.as_slice())
+    {
+        *o = *v + u;
+        *v -= u;
+    }
+    assert!(
+        s.v.solve_n::<N>(out),
+        "Padé denominator is nonsingular after scaling"
+    );
 
     for _ in 0..squarings {
-        result = result.matmul(&result);
+        out.matmul_n::<N>(out, &mut s.a2);
+        std::mem::swap(out, &mut s.a2);
     }
-    result
+}
+
+/// `m = c·I`, computed as `I * c` entry by entry like `identity(n).scaled(c)`.
+fn set_scaled_identity(m: &mut Matrix, c: f64) {
+    let n = m.cols();
+    for (idx, z) in m.as_mut_slice().iter_mut().enumerate() {
+        let e = if idx / n == idx % n {
+            C64::ONE
+        } else {
+            C64::ZERO
+        };
+        *z = e * C64::real(c);
+    }
 }
 
 /// Computes `exp(-i·t·H)` — the unitary propagator of a Hamiltonian `H`

@@ -128,15 +128,45 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Creates a zeroed matrix that a caller keeps as reusable kernel
+    /// output or scratch (the `_into` kernels write into it), counted as
+    /// one `mathkit.workspace` allocation so scratch accounting covers
+    /// caller-owned buffers too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn workspace(rows: usize, cols: usize) -> Self {
+        paqoc_telemetry::kernel_alloc(
+            "mathkit.workspace",
+            1,
+            (rows * cols * std::mem::size_of::<C64>()) as u64,
+        );
+        Matrix::zeros(rows, cols)
+    }
+
     /// Conjugate transpose `A†`.
     pub fn dagger(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
+        self.dagger_into(&mut out);
+        out
+    }
+
+    /// Writes the conjugate transpose `A†` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `cols × rows`.
+    pub fn dagger_into(&self, out: &mut Matrix) {
+        assert!(
+            out.rows == self.cols && out.cols == self.rows,
+            "dagger output shape mismatch"
+        );
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)].conj();
             }
         }
-        out
     }
 
     /// Transpose without conjugation.
@@ -199,35 +229,69 @@ impl Matrix {
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul inner dimensions must agree ({}×{} · {}×{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        paqoc_telemetry::kernel_probe!("mathkit.matmul", self.rows);
         paqoc_telemetry::kernel_alloc(
             "mathkit.matmul",
             1,
             (self.rows * rhs.cols * std::mem::size_of::<C64>()) as u64,
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// Matrix product `self · rhs` written into `out`, allocating
+    /// nothing. Square operands of dimension 2, 4 or 8 run a
+    /// fixed-dimension instantiation of the same kernel; every
+    /// instantiation produces the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inner dimensions disagree or `out` is not
+    /// `self.rows() × rhs.cols()`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul inner dimensions must agree ({}×{} · {}×{})",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert!(
+            out.rows == self.rows && out.cols == rhs.cols,
+            "matmul output must be {}×{}, got {}×{}",
+            self.rows,
+            rhs.cols,
+            out.rows,
+            out.cols
+        );
+        match (self.rows, self.cols, rhs.cols) {
+            (2, 2, 2) => self.matmul_n::<2>(rhs, out),
+            (4, 4, 4) => self.matmul_n::<4>(rhs, out),
+            (8, 8, 8) => self.matmul_n::<8>(rhs, out),
+            _ => self.matmul_n::<0>(rhs, out),
+        }
+    }
+
+    /// The probed matmul kernel at compile-time dimension `N` (`0`: the
+    /// run-time shape). Shapes are the caller's to check.
+    #[inline(always)]
+    pub(crate) fn matmul_n<const N: usize>(&self, rhs: &Matrix, out: &mut Matrix) {
+        paqoc_telemetry::kernel_probe!("mathkit.matmul", self.rows);
+        let (rows, inner, cols) = (dim::<N>(self.rows), dim::<N>(self.cols), dim::<N>(rhs.cols));
+        let a = &self.data[..rows * inner];
+        let b = &rhs.data[..inner * cols];
+        let out = &mut out.data[..rows * cols];
+        out.fill(C64::ZERO);
         // i-k-j loop order: streams over the output row and the rhs row,
         // which is the cache-friendly order for row-major data.
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a.re == 0.0 && a.im == 0.0 {
+        for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+            for (k, &x) in a_row.iter().enumerate() {
+                if x.re == 0.0 && x.im == 0.0 {
                     continue;
                 }
-                let rhs_row = &rhs.data[k * n..(k + 1) * n];
-                for j in 0..n {
-                    out_row[j] = out_row[j].mul_add(a, rhs_row[j]);
+                for (o, &y) in out_row.iter_mut().zip(&b[k * cols..(k + 1) * cols]) {
+                    *o = o.mul_add(x, y);
                 }
             }
         }
-        out
     }
 
     /// Kronecker (tensor) product `self ⊗ rhs`.
@@ -336,20 +400,14 @@ impl Matrix {
 
     /// Solves `A·X = B` by Gaussian elimination with partial pivoting.
     ///
-    /// Used by the Padé step of [`crate::expm`]. Returns `None` when the
-    /// system is singular to working precision.
+    /// Allocating wrapper over [`Matrix::solve_in_place`] on copies of
+    /// both operands. Returns `None` when the system is singular to
+    /// working precision.
     ///
     /// # Panics
     ///
     /// Panics if shapes disagree.
     pub fn solve(&self, b: &Matrix) -> Option<Matrix> {
-        assert!(self.is_square(), "solve requires a square matrix");
-        assert_eq!(self.rows, b.rows, "solve shape mismatch");
-        paqoc_telemetry::kernel_probe!("mathkit.solve", self.rows);
-        let n = self.rows;
-        let m = b.cols;
-        // The elimination clones both operands — scratch that a reuse
-        // pass would eliminate, so it is counted.
         paqoc_telemetry::kernel_alloc(
             "mathkit.solve",
             2,
@@ -357,56 +415,100 @@ impl Matrix {
         );
         let mut a = self.clone();
         let mut x = b.clone();
+        a.solve_in_place(&mut x).then_some(x)
+    }
+
+    /// Solves `A·X = B` in place: `b` is overwritten with `X` and `self`
+    /// with the eliminated (upper-triangular) system. Used by the Padé
+    /// step of [`crate::expm_into`]; allocates nothing. Returns `false`
+    /// when the system is singular to working precision, leaving both
+    /// operands partially eliminated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not square or `b` has a different row count.
+    pub fn solve_in_place(&mut self, b: &mut Matrix) -> bool {
+        assert!(self.is_square(), "solve requires a square matrix");
+        assert_eq!(self.rows, b.rows, "solve shape mismatch");
+        match (self.rows, b.cols) {
+            (2, 2) => self.solve_n::<2>(b),
+            (4, 4) => self.solve_n::<4>(b),
+            (8, 8) => self.solve_n::<8>(b),
+            _ => self.solve_n::<0>(b),
+        }
+    }
+
+    /// The probed elimination kernel at compile-time dimension `N` (`0`:
+    /// the run-time shape). Shapes are the caller's to check.
+    #[inline(always)]
+    pub(crate) fn solve_n<const N: usize>(&mut self, b: &mut Matrix) -> bool {
+        paqoc_telemetry::kernel_probe!("mathkit.solve", self.rows);
+        let (n, m) = (dim::<N>(self.rows), dim::<N>(b.cols));
+        let a = &mut self.data[..n * n];
+        let x = &mut b.data[..n * m];
         for col in 0..n {
             // Partial pivot.
             let mut piv = col;
-            let mut piv_mag = a[(col, col)].abs();
+            let mut piv_mag = a[col * n + col].abs();
             for r in (col + 1)..n {
-                let mag = a[(r, col)].abs();
+                let mag = a[r * n + col].abs();
                 if mag > piv_mag {
                     piv = r;
                     piv_mag = mag;
                 }
             }
             if piv_mag < 1e-300 {
-                return None;
+                return false;
             }
             if piv != col {
                 for j in 0..n {
-                    a.data.swap(col * n + j, piv * n + j);
+                    a.swap(col * n + j, piv * n + j);
                 }
                 for j in 0..m {
-                    x.data.swap(col * m + j, piv * m + j);
+                    x.swap(col * m + j, piv * m + j);
                 }
             }
-            let inv = a[(col, col)].recip();
+            let inv = a[col * n + col].recip();
             for r in (col + 1)..n {
-                let f = a[(r, col)] * inv;
+                let f = a[r * n + col] * inv;
                 if f.re == 0.0 && f.im == 0.0 {
                     continue;
                 }
                 for j in col..n {
-                    let v = a[(col, j)];
-                    a[(r, j)] = a[(r, j)].mul_add(-f, v);
+                    let v = a[col * n + j];
+                    a[r * n + j] = a[r * n + j].mul_add(-f, v);
                 }
                 for j in 0..m {
-                    let v = x[(col, j)];
-                    x[(r, j)] = x[(r, j)].mul_add(-f, v);
+                    let v = x[col * m + j];
+                    x[r * m + j] = x[r * m + j].mul_add(-f, v);
                 }
             }
         }
         // Back substitution.
         for col in (0..n).rev() {
-            let inv = a[(col, col)].recip();
+            let inv = a[col * n + col].recip();
             for j in 0..m {
-                let mut acc = x[(col, j)];
+                let mut acc = x[col * m + j];
                 for k in (col + 1)..n {
-                    acc = acc.mul_add(-a[(col, k)], x[(k, j)]);
+                    acc = acc.mul_add(-a[col * n + k], x[k * m + j]);
                 }
-                x[(col, j)] = acc * inv;
+                x[col * m + j] = acc * inv;
             }
         }
-        Some(x)
+        true
+    }
+}
+
+/// Dimension of a const-generic kernel instantiation: `N`, or the
+/// run-time `n` when `N == 0`. A constant lets the compiler unroll and
+/// drop bounds checks; the arithmetic is the same source either way, so
+/// fixed and run-time paths agree bit for bit.
+#[inline(always)]
+pub(crate) fn dim<const N: usize>(n: usize) -> usize {
+    if N == 0 {
+        n
+    } else {
+        N
     }
 }
 

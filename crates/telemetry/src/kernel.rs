@@ -297,9 +297,10 @@ impl Drop for KernelProbe {
 
 /// Counts `count` scratch allocations totalling `bytes` bytes against
 /// the named kernel. Thread-local, lock-free; no-op when probes are
-/// disarmed. These counters make allocation churn (e.g. the nine Padé
-/// scratch matrices `expm` allocates per call) measurable, so scratch
-/// reuse shows up as a falling byte count rather than a guess.
+/// disarmed. These counters make allocation churn (e.g. the Padé
+/// scratch a one-off `expm` allocates, or a caller's reusable
+/// workspace) measurable, so scratch reuse shows up as a falling byte
+/// count rather than a guess.
 pub fn kernel_alloc(name: &'static str, count: u64, bytes: u64) {
     if !kernel_probes_enabled() {
         return;
