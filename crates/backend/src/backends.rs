@@ -1,126 +1,113 @@
-//! The three shipped device targets.
+//! The backend as plain data, and the three shipped device targets.
+//!
+//! A backend is one value: identity (registry name, description,
+//! fingerprint namespace), the coupling lattice, the Hamiltonian-level
+//! control limits and an optional per-qubit / per-coupler calibration
+//! overlay. [`Backend::device`] is the one derived operation that must
+//! be consistent across the stack: building the [`Device`] whose
+//! fingerprint namespaces every pulse store and cache key downstream.
 
 use crate::snapshot::{parse_snapshot, CalError};
-use crate::traits::{Backend, HasCalibration, HasChannels, HasSpec, HasTopology};
-use paqoc_device::{DeviceTuning, Topology, NS_HEAVY_HEX, NS_TUNABLE_COUPLER};
+use paqoc_device::{
+    Device, DeviceTuning, HardwareSpec, Topology, NS_HEAVY_HEX, NS_TUNABLE_COUPLER,
+};
 
 /// The default heavy-hex calibration snapshot, shipped with the crate.
 pub const HEAVY_HEX_DEFAULT_CAL: &str = include_str!("../data/heavy_hex_cal.json");
 
-/// The paper's idealized 5×5 transmon grid.
-///
-/// Deliberately the *legacy* device: no calibration, no namespace tag.
-/// Its [`Backend::device`] is bit-identical to `Device::grid5x5()` —
-/// same fingerprint, same store files, same bench dumps — so adopting
-/// the backend registry is not a migration for existing users.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TransmonGridBackend;
+/// Hexagon rows/cols of the shipped heavy-hex lattice (33 qubits).
+const HEAVY_HEX_ROWS: usize = 2;
+const HEAVY_HEX_COLS: usize = 2;
 
-impl HasTopology for TransmonGridBackend {
-    fn topology(&self) -> Topology {
-        Topology::grid(5, 5)
-    }
-}
-impl HasSpec for TransmonGridBackend {}
-impl HasCalibration for TransmonGridBackend {}
-impl HasChannels for TransmonGridBackend {}
-impl Backend for TransmonGridBackend {
-    fn name(&self) -> &'static str {
-        "transmon-grid"
-    }
-    fn ns_id(&self) -> Option<u8> {
-        None
-    }
-    fn description(&self) -> &'static str {
-        "idealized 5x5 transmon grid (the paper's device)"
-    }
-}
+/// Grid side of the tunable-coupler lattice.
+const TUNABLE_COUPLER_SIDE: usize = 4;
 
-/// An IBM-style heavy-hex lattice with per-qubit calibration loaded
-/// from a `paqoc-cal-1` snapshot file.
+/// A device target.
 #[derive(Clone, Debug)]
-pub struct HeavyHexBackend {
-    tuning: DeviceTuning,
+pub struct Backend {
+    /// Registry name, e.g. `"heavy-hex"`.
+    pub name: &'static str,
+    /// One-line human description for CLI listings.
+    pub description: &'static str,
+    /// Fingerprint namespace id (see `paqoc_device::fingerprint`), or
+    /// `None` for a legacy untagged device. The paper grid has `None`
+    /// so its fingerprint — and with it every store file, cache key,
+    /// bench dump and baseline — stays byte-identical.
+    pub ns_id: Option<u8>,
+    /// The qubit-coupling graph.
+    pub topology: Topology,
+    /// The control-field limits shared by every qubit before
+    /// calibration scaling.
+    pub spec: HardwareSpec,
+    /// The per-qubit / per-coupler calibration snapshot, or `None` for
+    /// an idealized (spec-only) device.
+    pub calibration: Option<DeviceTuning>,
 }
 
-impl HeavyHexBackend {
-    /// Hexagon rows/cols of the shipped lattice (33 qubits).
-    pub const ROWS: usize = 2;
-    /// See [`Self::ROWS`].
-    pub const COLS: usize = 2;
+impl Backend {
+    /// The paper's idealized 5×5 transmon grid.
+    ///
+    /// Deliberately the *legacy* device: no calibration, no namespace
+    /// tag. Its [`Backend::device`] is bit-identical to
+    /// `Device::grid5x5()` — same fingerprint, same store files, same
+    /// bench dumps — so adopting the backend registry is not a
+    /// migration for existing users.
+    pub fn transmon_grid() -> Self {
+        Backend {
+            name: "transmon-grid",
+            description: "idealized 5x5 transmon grid (the paper's device)",
+            ns_id: None,
+            topology: Topology::grid(5, 5),
+            spec: HardwareSpec::transmon_xy(),
+            calibration: None,
+        }
+    }
 
-    /// The backend with the shipped default snapshot.
+    /// The IBM-style heavy-hex lattice with the shipped default
+    /// calibration snapshot.
     ///
     /// # Panics
     ///
     /// Never in practice: the embedded snapshot is validated by test.
-    pub fn shipped() -> Self {
-        Self::from_snapshot_str(HEAVY_HEX_DEFAULT_CAL).expect("shipped snapshot is valid")
+    pub fn heavy_hex() -> Self {
+        Self::heavy_hex_from_snapshot_str(HEAVY_HEX_DEFAULT_CAL).expect("shipped snapshot is valid")
     }
 
-    /// The backend with a caller-supplied snapshot document.
+    /// The heavy-hex lattice with per-qubit calibration from a
+    /// caller-supplied `paqoc-cal-1` snapshot document.
     ///
     /// # Errors
     ///
     /// Returns [`CalError`] when the snapshot is malformed or does not
     /// cover the 33-qubit lattice.
-    pub fn from_snapshot_str(text: &str) -> Result<Self, CalError> {
-        let num_qubits = Topology::heavy_hex(Self::ROWS, Self::COLS).num_qubits();
-        let tuning = parse_snapshot(text, num_qubits)?;
-        Ok(HeavyHexBackend { tuning })
+    pub fn heavy_hex_from_snapshot_str(text: &str) -> Result<Self, CalError> {
+        let topology = Topology::heavy_hex(HEAVY_HEX_ROWS, HEAVY_HEX_COLS);
+        let tuning = parse_snapshot(text, topology.num_qubits())?;
+        Ok(Backend {
+            name: "heavy-hex",
+            description: "IBM-style 33-qubit heavy-hex lattice with per-qubit calibration",
+            ns_id: Some(NS_HEAVY_HEX),
+            topology,
+            spec: HardwareSpec::transmon_xy(),
+            calibration: Some(tuning),
+        })
     }
 
-    /// The backend with a snapshot read from `path`.
+    /// The heavy-hex lattice with a snapshot read from `path`.
     ///
     /// # Errors
     ///
     /// Returns [`CalError`] when the file is unreadable or malformed.
-    pub fn from_snapshot_file(path: &std::path::Path) -> Result<Self, CalError> {
+    pub fn heavy_hex_from_snapshot_file(path: &std::path::Path) -> Result<Self, CalError> {
         let text = std::fs::read_to_string(path).map_err(|e| CalError {
             message: format!("{}: {e}", path.display()),
         })?;
-        Self::from_snapshot_str(&text)
+        Self::heavy_hex_from_snapshot_str(&text)
     }
-}
 
-impl HasTopology for HeavyHexBackend {
-    fn topology(&self) -> Topology {
-        Topology::heavy_hex(Self::ROWS, Self::COLS)
-    }
-}
-impl HasSpec for HeavyHexBackend {}
-impl HasCalibration for HeavyHexBackend {
-    fn calibration(&self) -> Option<DeviceTuning> {
-        Some(self.tuning.clone())
-    }
-}
-impl HasChannels for HeavyHexBackend {}
-impl Backend for HeavyHexBackend {
-    fn name(&self) -> &'static str {
-        "heavy-hex"
-    }
-    fn ns_id(&self) -> Option<u8> {
-        Some(NS_HEAVY_HEX)
-    }
-    fn description(&self) -> &'static str {
-        "IBM-style 33-qubit heavy-hex lattice with per-qubit calibration"
-    }
-}
-
-/// A tunable-coupler grid: every two-qubit channel's strength is a
-/// deterministic function of a single flux parameter, modeling a
-/// flux-biased coupler between fixed-frequency transmons.
-#[derive(Clone, Debug)]
-pub struct TunableCouplerBackend {
-    flux: f64,
-    tuning: DeviceTuning,
-}
-
-impl TunableCouplerBackend {
-    /// Grid side of the tunable-coupler lattice.
-    pub const SIDE: usize = 4;
-
-    /// The backend at flux bias `flux` ∈ \[0, 1\].
+    /// A 4×4 tunable-coupler grid of fixed-frequency transmons at flux
+    /// bias `flux` ∈ \[0, 1\]: every two-qubit channel's strength is a
+    /// deterministic function of the one flux parameter.
     ///
     /// Coupler `k` (in topology edge order) gets scale
     /// `0.55 + 0.45·cos(flux·π·(k+1)/num_edges)` — each coupler sits at
@@ -131,12 +118,12 @@ impl TunableCouplerBackend {
     /// # Panics
     ///
     /// Panics when `flux` is not finite or outside \[0, 1\].
-    pub fn at_flux(flux: f64) -> Self {
+    pub fn tunable_coupler_at_flux(flux: f64) -> Self {
         assert!(
             flux.is_finite() && (0.0..=1.0).contains(&flux),
             "flux bias {flux} outside [0, 1]"
         );
-        let topology = Topology::grid(Self::SIDE, Self::SIDE);
+        let topology = Topology::grid(TUNABLE_COUPLER_SIDE, TUNABLE_COUPLER_SIDE);
         let mut tuning = DeviceTuning::identity(topology.num_qubits());
         let num_edges = topology.edges().len();
         for (k, &(a, b)) in topology.edges().iter().enumerate() {
@@ -144,53 +131,67 @@ impl TunableCouplerBackend {
             let scale = 0.55 + 0.45 * theta.cos();
             tuning.coupler_scale.insert((a.min(b), a.max(b)), scale);
         }
-        TunableCouplerBackend { flux, tuning }
+        Backend {
+            name: "tunable-coupler",
+            description: "4x4 grid of fixed-frequency transmons with flux-tunable couplers",
+            ns_id: Some(NS_TUNABLE_COUPLER),
+            topology,
+            spec: HardwareSpec::transmon_xy(),
+            calibration: Some(tuning),
+        }
     }
 
-    /// The flux bias this backend was built at.
-    pub fn flux(&self) -> f64 {
-        self.flux
+    /// The tunable-coupler grid at its default flux bias, 0.5.
+    pub fn tunable_coupler() -> Self {
+        Self::tunable_coupler_at_flux(0.5)
     }
-}
 
-impl Default for TunableCouplerBackend {
-    fn default() -> Self {
-        Self::at_flux(0.5)
+    /// Builds the device this backend models: tagged and
+    /// namespace-fingerprinted when the backend is calibrated,
+    /// bit-identical to the legacy constructor when it is not.
+    pub fn device(&self) -> Device {
+        match (self.ns_id, &self.calibration) {
+            (Some(ns), Some(tuning)) => Device::with_tuning(
+                self.topology.clone(),
+                self.spec,
+                tuning.clone(),
+                self.name,
+                ns,
+            ),
+            // Uncalibrated or legacy: the untagged constructor, so the
+            // fingerprint is the raw topology+spec hash.
+            _ => Device::new(self.topology.clone(), self.spec),
+        }
     }
-}
 
-impl HasTopology for TunableCouplerBackend {
-    fn topology(&self) -> Topology {
-        Topology::grid(Self::SIDE, Self::SIDE)
+    /// The 16-bit digest of the active snapshot, `None` when
+    /// uncalibrated. A drifted snapshot changes this, which rotates the
+    /// device fingerprint and with it every store namespace.
+    pub fn calibration_id(&self) -> Option<u16> {
+        self.calibration.as_ref().map(DeviceTuning::cal_id)
     }
-}
-impl HasSpec for TunableCouplerBackend {}
-impl HasCalibration for TunableCouplerBackend {
-    fn calibration(&self) -> Option<DeviceTuning> {
-        Some(self.tuning.clone())
+
+    /// Drive-channel name of qubit `q`: `d{q}`, the OpenPulse
+    /// convention.
+    pub fn drive_channel(&self, q: usize) -> String {
+        format!("d{q}")
     }
-}
-impl HasChannels for TunableCouplerBackend {}
-impl Backend for TunableCouplerBackend {
-    fn name(&self) -> &'static str {
-        "tunable-coupler"
-    }
-    fn ns_id(&self) -> Option<u8> {
-        Some(NS_TUNABLE_COUPLER)
-    }
-    fn description(&self) -> &'static str {
-        "4x4 grid of fixed-frequency transmons with flux-tunable couplers"
+
+    /// Control-channel name of the `k`-th coupler edge in the
+    /// topology's edge list: `u{k}`, the OpenPulse convention.
+    pub fn coupler_channel(&self, k: usize) -> String {
+        format!("u{k}")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paqoc_device::{decode_fingerprint, Device, FingerprintKind};
+    use paqoc_device::{decode_fingerprint, FingerprintKind};
 
     #[test]
     fn transmon_grid_backend_is_bit_identical_to_grid5x5() {
-        let via_backend = TransmonGridBackend.device();
+        let via_backend = Backend::transmon_grid().device();
         let legacy = Device::grid5x5();
         assert_eq!(via_backend.fingerprint(), legacy.fingerprint());
         assert_eq!(via_backend.backend_name(), "transmon-grid");
@@ -210,7 +211,7 @@ mod tests {
 
     #[test]
     fn shipped_heavy_hex_snapshot_is_valid_and_namespaced() {
-        let backend = HeavyHexBackend::shipped();
+        let backend = Backend::heavy_hex();
         let device = backend.device();
         assert_eq!(device.topology().num_qubits(), 33);
         assert_eq!(device.backend_name(), "heavy-hex");
@@ -225,10 +226,10 @@ mod tests {
 
     #[test]
     fn heavy_hex_snapshot_drift_rotates_the_fingerprint() {
-        let base = HeavyHexBackend::shipped().device();
+        let base = Backend::heavy_hex().device();
         let drifted = HEAVY_HEX_DEFAULT_CAL.replacen("\"t1_us\": 1", "\"t1_us\": 2", 1);
         assert_ne!(drifted, HEAVY_HEX_DEFAULT_CAL, "the replace must bite");
-        let drifted = HeavyHexBackend::from_snapshot_str(&drifted)
+        let drifted = Backend::heavy_hex_from_snapshot_str(&drifted)
             .expect("still valid")
             .device();
         assert_ne!(base.fingerprint(), drifted.fingerprint());
@@ -237,24 +238,22 @@ mod tests {
 
     #[test]
     fn tunable_coupler_flux_is_parametric() {
-        let a = TunableCouplerBackend::at_flux(0.25).device();
-        let b = TunableCouplerBackend::at_flux(0.75).device();
+        let a = Backend::tunable_coupler_at_flux(0.25).device();
+        let b = Backend::tunable_coupler_at_flux(0.75).device();
         assert_ne!(a.fingerprint(), b.fingerprint(), "flux is part of identity");
         // Different couplers sit at different points of the tuning
         // curve even within one device.
-        let t = TunableCouplerBackend::at_flux(0.5);
-        let edges = t.topology();
-        let edges = edges.edges();
-        let first = t.tuning.coupler(edges[0].0, edges[0].1);
-        let last = t
-            .tuning
-            .coupler(edges[edges.len() - 1].0, edges[edges.len() - 1].1);
+        let t = Backend::tunable_coupler_at_flux(0.5);
+        let edges = t.topology.edges();
+        let tuning = t.calibration.as_ref().expect("calibrated");
+        let first = tuning.coupler(edges[0].0, edges[0].1);
+        let last = tuning.coupler(edges[edges.len() - 1].0, edges[edges.len() - 1].1);
         assert_ne!(first, last);
     }
 
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn tunable_coupler_rejects_wild_flux() {
-        let _ = TunableCouplerBackend::at_flux(1.5);
+        let _ = Backend::tunable_coupler_at_flux(1.5);
     }
 }

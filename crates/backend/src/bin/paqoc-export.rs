@@ -62,7 +62,7 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("list-backends") {
         for name in paqoc_backend::BACKEND_NAMES {
             let backend = resolve_with_cal(name, None).expect("registered");
-            println!("{name:16} {}", backend.description());
+            println!("{name:16} {}", backend.description);
         }
         return ExitCode::SUCCESS;
     }
@@ -89,14 +89,14 @@ fn main() -> ExitCode {
             "paqoc-export: {} needs {} qubits, backend {:?} has {}",
             bench.name,
             circuit.num_qubits(),
-            backend.name(),
+            backend.name,
             device.topology().num_qubits()
         );
         return ExitCode::from(2);
     }
     let mut source = AnalyticModel::new();
     let result = compile(&circuit, &device, &mut source, &PipelineOptions::m0());
-    let program = lower_to_program(bench.name, &result, &device, backend.as_ref());
+    let program = lower_to_program(bench.name, &result, &device, &backend);
     let text = export(&program);
 
     if args.reimport_check {

@@ -2,10 +2,10 @@
 //!
 //! Pluggable device targets for the PAQOC pipeline.
 //!
-//! A [`Backend`] bundles four concerns behind one registry name:
-//! coupling topology, Hamiltonian-level control limits, a per-qubit /
-//! per-coupler calibration snapshot, and control-channel naming. Three
-//! targets ship:
+//! A [`Backend`] is plain data behind one registry name: coupling
+//! topology, Hamiltonian-level control limits and an optional
+//! per-qubit / per-coupler calibration snapshot, plus the OpenPulse
+//! control-channel naming. Three targets ship:
 //!
 //! * `transmon-grid` — the paper's idealized 5×5 lattice, bit-identical
 //!   to `Device::grid5x5()` (legacy fingerprint, untouched stores).
@@ -36,7 +36,7 @@
 //! circuit.h(0).cx(0, 1);
 //! let mut source = AnalyticModel::new();
 //! let result = compile(&circuit, &device, &mut source, &PipelineOptions::m0());
-//! let program = lower_to_program("bell", &result, &device, backend.as_ref());
+//! let program = lower_to_program("bell", &result, &device, &backend);
 //! let wire = export(&program);
 //! assert!(sample_exact_eq(&program, &import(&wire).expect("strict")));
 //! ```
@@ -49,15 +49,11 @@ mod openpulse;
 mod registry;
 mod schedule;
 mod snapshot;
-mod traits;
 
-pub use backends::{
-    HeavyHexBackend, TransmonGridBackend, TunableCouplerBackend, HEAVY_HEX_DEFAULT_CAL,
-};
+pub use backends::{Backend, HEAVY_HEX_DEFAULT_CAL};
 pub use openpulse::{export, import, sample_exact_eq, ImportError, SCHEMA_VERSION};
 pub use registry::{resolve, resolve_with_cal, BackendError, BACKEND_NAMES};
 pub use schedule::{
     lower_to_program, Experiment, PlayInst, PulseDef, PulseProgram, MAX_ENVELOPE_SAMPLES,
 };
 pub use snapshot::{parse_snapshot, CalError};
-pub use traits::{Backend, HasCalibration, HasChannels, HasSpec, HasTopology};

@@ -7,7 +7,7 @@
 //! quantized to device cycles). This is the exchange format the
 //! OpenPulse exporter serializes.
 
-use crate::traits::Backend;
+use crate::backends::Backend;
 use paqoc_core::{CompilationResult, GroupedCircuit};
 use paqoc_device::Device;
 
@@ -128,7 +128,7 @@ pub fn lower_to_program(
     experiment_name: &str,
     result: &CompilationResult,
     device: &Device,
-    backend: &dyn Backend,
+    backend: &Backend,
 ) -> PulseProgram {
     let grouped = &result.grouped;
     let dt_ns = device.spec().dt_ns;
@@ -136,11 +136,11 @@ pub fn lower_to_program(
     PulseProgram {
         qobj_id: format!(
             "{}-{}-{:016x}",
-            backend.name(),
+            backend.name,
             experiment_name,
             device.fingerprint()
         ),
-        backend_name: backend.name().to_string(),
+        backend_name: backend.name.to_string(),
         fingerprint: device.fingerprint(),
         calibration_id: device.tag().map(|t| t.cal_id),
         dt_ns,
@@ -155,7 +155,7 @@ pub fn lower_to_program(
 fn lower_groups(
     grouped: &GroupedCircuit,
     device: &Device,
-    backend: &dyn Backend,
+    backend: &Backend,
     dt_ns: f64,
 ) -> (Vec<PulseDef>, Vec<PlayInst>) {
     let order = grouped.topological_order();
@@ -209,8 +209,6 @@ fn lower_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::TransmonGridBackend;
-    use crate::traits::Backend;
     use paqoc_circuit::Circuit;
     use paqoc_core::{compile, PipelineOptions};
     use paqoc_device::AnalyticModel;
@@ -218,7 +216,7 @@ mod tests {
     fn tiny_program() -> PulseProgram {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).x(2).cx(1, 2);
-        let backend = TransmonGridBackend;
+        let backend = Backend::transmon_grid();
         let device = backend.device();
         let mut source = AnalyticModel::new();
         let result = compile(&c, &device, &mut source, &PipelineOptions::m0());

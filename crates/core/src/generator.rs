@@ -23,10 +23,8 @@ use std::time::Instant;
 
 /// Parallel-prefetch context for the attach phase: with one of these,
 /// the generator batch-generates every pending pulse of an attach sweep
-/// across the executor's worker pool before the sequential commit logic
-/// runs. Requires the table to carry a shared layer
-/// ([`PulseTable::attach_shared`]); without one the prefetch is a
-/// no-op and the generator stays fully sequential.
+/// across the executor's worker pool, over the table's shared layer
+/// ([`PulseTable::shared`]), before the sequential commit logic runs.
 #[derive(Clone)]
 pub struct BatchContext {
     /// Builds one seeded source per job (see [`paqoc_exec::job_seed`]).
@@ -152,42 +150,12 @@ pub struct GenerationOutcome {
     pub kernel_calls: BTreeMap<String, u64>,
 }
 
-/// Runs Algorithm 1 over a grouped circuit.
-///
-/// On return every live group has a generated pulse (latency and
-/// fidelity set), and the circuit latency is monotonically no worse
-/// than the input grouping's.
-///
-/// Infallible wrapper over [`try_generate_customized_gates`] with
-/// default limits — estimator fallback enabled, no budgets — under
-/// which the ladder always bottoms out in a valid result.
-///
-/// # Panics
-///
-/// Panics only if the degradation ladder is unexpectedly bypassed;
-/// unreachable with [`GenerationLimits::default`].
-pub fn generate_customized_gates(
-    grouped: &mut GroupedCircuit,
-    device: &Device,
-    source: &mut dyn PulseSource,
-    table: &mut PulseTable,
-    opts: &PaqocOptions,
-) -> GeneratorReport {
-    match try_generate_customized_gates(
-        grouped,
-        device,
-        source,
-        table,
-        opts,
-        &GenerationLimits::default(),
-    ) {
-        Ok(outcome) => outcome.report,
-        Err(e) => panic!("generator failed with fallbacks enabled: {e}"),
-    }
-}
-
-/// Fallible [`generate_customized_gates`] with budgets and the
+/// Runs Algorithm 1 over a grouped circuit, with budgets and the
 /// degradation ladder (paper Algorithm 1 hardened for production).
+///
+/// On success every live group has a pulse (latency and fidelity set),
+/// and the circuit latency is monotonically no worse than the input
+/// grouping's.
 ///
 /// The ladder, from cheapest to most drastic:
 /// 1. retry the pulse source per group (`limits.pulse_retries`, plus
@@ -201,26 +169,15 @@ pub fn generate_customized_gates(
 /// pulse generation; exhaustion finishes the run with the current valid
 /// grouping marked `partial` instead of erroring. Every concession is
 /// recorded in [`GenerationOutcome::degradations`].
-pub fn try_generate_customized_gates(
-    grouped: &mut GroupedCircuit,
-    device: &Device,
-    source: &mut dyn PulseSource,
-    table: &mut PulseTable,
-    opts: &PaqocOptions,
-    limits: &GenerationLimits,
-) -> Result<GenerationOutcome, CompileError> {
-    try_generate_customized_gates_batched(grouped, device, source, table, opts, limits, None)
-}
-
-/// [`try_generate_customized_gates`] with an optional parallel-prefetch
-/// context: before each attach sweep, every pending pulse is generated
-/// as a [`PulseJob`] batch on the executor (deduped, panic-isolated,
-/// budget-shared), and the sweep then commits sequentially — hits are
-/// free, failures fall through to the unchanged degradation ladder. The
-/// per-key seeding keeps results bit-identical to the sequential path
-/// for deterministic sources.
+///
+/// With a parallel-prefetch context (`exec`), every pending pulse of an
+/// attach sweep is first generated as a [`PulseJob`] batch on the
+/// executor (deduped, panic-isolated, budget-shared), and the sweep then
+/// commits sequentially — hits are free, failures fall through to the
+/// unchanged degradation ladder. The per-key seeding keeps results
+/// bit-identical to the sequential path for deterministic sources.
 #[allow(clippy::too_many_arguments)]
-pub fn try_generate_customized_gates_batched(
+pub fn try_generate_customized_gates(
     grouped: &mut GroupedCircuit,
     device: &Device,
     source: &mut dyn PulseSource,
@@ -715,7 +672,7 @@ pub fn try_generate_customized_gates_batched(
 /// biggest pulses start first. Outcomes are folded into the table with
 /// exact sequential stats parity ([`PulseTable::absorb_batch`]);
 /// failures and budget skips are left for the sequential ladder, whose
-/// semantics are unchanged. A no-op when the table has no shared layer.
+/// semantics are unchanged.
 ///
 /// The batch's worker-side kernel-probe attribution is folded into the
 /// `kernel_ns`/`kernel_calls` accumulators so the compile result can
@@ -731,9 +688,7 @@ fn prefetch_pending_pulses(
     kernel_ns: &mut BTreeMap<String, u64>,
     kernel_calls: &mut BTreeMap<String, u64>,
 ) {
-    let Some(shared) = table.shared().cloned() else {
-        return;
-    };
+    let shared = table.shared().clone();
     let mut seen: HashSet<String> = HashSet::new();
     let mut jobs: Vec<PulseJob> = Vec::new();
     for id in grouped.group_ids() {
@@ -885,7 +840,9 @@ fn refresh_latencies(
     for id in grouped.group_ids() {
         if grouped.group(id).latency_ns == 0.0 {
             let insts = grouped.group(id).instructions.clone();
-            let pulse = table.pulse_for(&insts, device, source, opts.target_fidelity);
+            let pulse = table
+                .try_pulse_for(&insts, device, source, opts.target_fidelity, 0)
+                .expect("analytic pulse");
             let g = grouped.group_mut(id);
             g.latency_ns = pulse.latency_ns;
             g.fidelity = pulse.fidelity;
@@ -905,9 +862,17 @@ mod tests {
         let mut grouped = GroupedCircuit::new(c.instructions(), c.num_qubits(), &[]);
         let mut source = AnalyticModel::new();
         let mut table = PulseTable::new();
-        let report =
-            generate_customized_gates(&mut grouped, &device, &mut source, &mut table, opts);
-        (grouped, report, table)
+        let outcome = try_generate_customized_gates(
+            &mut grouped,
+            &device,
+            &mut source,
+            &mut table,
+            opts,
+            &GenerationLimits::default(),
+            None,
+        )
+        .expect("default limits always bottom out in a valid result");
+        (grouped, outcome.report, table)
     }
 
     #[test]

@@ -3,16 +3,20 @@
 //! PAQOC itself: the grouped-circuit DAG with criticality analysis
 //! ([`GroupedCircuit`]), the canonical-keyed [`PulseTable`], the
 //! criticality-aware customized-gates generator implementing the paper's
-//! Algorithm 1 ([`generate_customized_gates`]), and the end-to-end
+//! Algorithm 1 ([`try_generate_customized_gates`]), and the end-to-end
 //! [`compile`] pipeline (lower → SABRE map → mine APA basis → merge →
 //! pulses) with the paper's `M ∈ {0, tuned, inf}` presets.
 //!
-//! The pulse table is fingerprint-keyed ([`composite_key`]), panic-
-//! isolated (a crashing [`paqoc_device::PulseSource`] degrades instead
-//! of aborting — [`Degradation::SourcePanic`]), and optionally backed by
-//! the crash-safe persistent store in `paqoc-store` (set
-//! `PipelineOptions::pulse_db` or the `PAQOC_PULSE_DB` environment
-//! variable).
+//! The pulse table is fingerprint-keyed and panic-isolated (a crashing
+//! [`paqoc_device::PulseSource`] degrades instead of aborting —
+//! [`Degradation::SourcePanic`]). It keeps only per-compile state: every
+//! compile, sequential ([`try_compile`]) or batched
+//! ([`try_compile_batch`]), runs over one [`paqoc_exec::SharedPulseTable`]
+//! (`PipelineOptions::shared_table`, or a fresh one), and that shared
+//! table is the only owner of the optional crash-safe persistent store
+//! in `paqoc-store` (set `PipelineOptions::pulse_db` or the
+//! `PAQOC_PULSE_DB` environment variable; [`open_pulse_store`] is the
+//! one store-open policy).
 //!
 //! ## Example
 //!
@@ -42,13 +46,12 @@ mod table;
 
 pub use error::{CompileError, Degradation};
 pub use generator::{
-    generate_customized_gates, try_generate_customized_gates,
-    try_generate_customized_gates_batched, BatchContext, GenerationLimits, GenerationOutcome,
+    try_generate_customized_gates, BatchContext, GenerationLimits, GenerationOutcome,
     GeneratorReport, PaqocOptions,
 };
 pub use group::{Group, GroupKind, GroupedCircuit};
 pub use pipeline::{
-    compile, partition_is_acyclic, try_compile, try_compile_batch, CompilationResult,
-    PipelineOptions,
+    compile, open_pulse_store, partition_is_acyclic, try_compile, try_compile_batch,
+    CompilationResult, PipelineOptions,
 };
-pub use table::{composite_key, group_key, CompileStats, KeyPrefix, PulseTable};
+pub use table::{group_key, CompileStats, PulseTable};

@@ -6,8 +6,7 @@
 
 use crate::error::{CompileError, Degradation};
 use crate::generator::{
-    try_generate_customized_gates_batched, BatchContext, GenerationLimits, GeneratorReport,
-    PaqocOptions,
+    try_generate_customized_gates, BatchContext, GenerationLimits, GeneratorReport, PaqocOptions,
 };
 use crate::group::{GroupKind, GroupedCircuit};
 use crate::table::{CompileStats, PulseTable};
@@ -18,7 +17,9 @@ use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_mining::{
     mine_frequent_subcircuits, select_apa_basis, ApaBudget, ApaCover, MinerOptions,
 };
+use paqoc_store::{PulseStore, StoreOptions, StoreRole};
 use paqoc_telemetry::{counter, span};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,9 +64,13 @@ pub struct PipelineOptions {
     pub allow_estimator_fallback: bool,
     /// Path of the persistent pulse store. `None` consults the
     /// `PAQOC_PULSE_DB` environment variable; set it (or the variable)
-    /// to make pulse reuse survive process restarts. A store that fails
+    /// to make pulse reuse survive process restarts. The store is
+    /// opened only when the compile's shared table
+    /// ([`PipelineOptions::shared_table`]) has none attached yet, and is
+    /// then attached to that table, its only owner. A store that fails
     /// to open degrades to in-memory compilation with a
-    /// [`Degradation::StoreUnavailable`] entry — never an error.
+    /// [`Degradation::StoreUnavailable`] entry — never an error (see
+    /// [`open_pulse_store`]).
     pub pulse_db: Option<std::path::PathBuf>,
     /// Tuning for the persistent store handle ([`PulseStore::open_with`]):
     /// eviction budget, forced read-only mode, IO fault injection. A
@@ -82,10 +87,11 @@ pub struct PipelineOptions {
     /// (see [`effective_threads`]). Ignored by the sequential
     /// [`try_compile`].
     pub threads: Option<usize>,
-    /// A shared executor pulse table for [`try_compile_batch`],
-    /// letting concurrent compiles (the bench suite) pool pulses and a
-    /// single persistent-store handle. `None` gives each compile its
-    /// own fresh table. Ignored by the sequential [`try_compile`].
+    /// The shared pulse table the compile runs over, letting compiles
+    /// (the bench suite, the serve daemon, repeated sequential calls)
+    /// pool pulses and a single persistent-store handle. `None` gives
+    /// each compile its own fresh table. Honoured by [`try_compile`]
+    /// and [`try_compile_batch`] alike.
     pub shared_table: Option<Arc<SharedPulseTable>>,
     /// Expected backend of the target device (a `paqoc-backend`
     /// registry name). When set, compilation fails fast with
@@ -252,7 +258,8 @@ pub fn try_compile(
     source: &mut dyn PulseSource,
     opts: &PipelineOptions,
 ) -> Result<CompilationResult, CompileError> {
-    compile_inner(logical, device, source, opts, None)
+    let shared = opts.shared_table.clone().unwrap_or_default();
+    compile_inner(logical, device, source, opts, shared, None)
 }
 
 /// Compiles with the attach phase parallelized on the executor.
@@ -273,7 +280,7 @@ pub fn try_compile(
 /// depends on the schedule, exactly as wall-clock deadlines already
 /// behave sequentially).
 ///
-/// The persistent store, when configured, is owned by the shared table
+/// The persistent store, as on every path, is owned by the shared table
 /// (one handle behind a mutex — the append-only log is not multi-handle
 /// safe) and flushed once per compile via its single-writer sync.
 pub fn try_compile_batch(
@@ -283,10 +290,7 @@ pub fn try_compile_batch(
     opts: &PipelineOptions,
 ) -> Result<CompilationResult, CompileError> {
     let threads = effective_threads(opts.threads);
-    let shared = opts
-        .shared_table
-        .clone()
-        .unwrap_or_else(|| Arc::new(SharedPulseTable::new()));
+    let shared = opts.shared_table.clone().unwrap_or_default();
     let ctx = BatchContext {
         factory: factory.clone(),
         threads,
@@ -295,13 +299,45 @@ pub fn try_compile_batch(
     // The ladder's fallback source: deterministic given the factory,
     // shared across the sequential residue of all sweeps.
     let mut fallback = factory.make(paqoc_exec::job_seed("sequential-fallback"));
-    compile_inner(
-        logical,
-        device,
-        fallback.as_mut(),
-        opts,
-        Some((ctx, shared)),
-    )
+    compile_inner(logical, device, fallback.as_mut(), opts, shared, Some(ctx))
+}
+
+/// Opens the persistent pulse store at `path` for `device`: the one
+/// store-open policy of every compile path (the pipeline and the serve
+/// daemon). A handle that comes up read-only — read-only was requested,
+/// or another process holds the single-writer lock — is returned with a
+/// [`Degradation::StoreReadOnly`] (`"requested"` / `"lock-held"`):
+/// reads still come through, only durability of fresh pulses is lost.
+/// A store that fails to open yields no handle and a
+/// [`Degradation::StoreUnavailable`]: persistence is an accelerator,
+/// not a requirement.
+pub fn open_pulse_store(
+    path: &Path,
+    device: &Device,
+    options: StoreOptions,
+) -> (Option<PulseStore>, Option<Degradation>) {
+    let reason = if options.read_only {
+        "requested"
+    } else {
+        "lock-held"
+    };
+    match PulseStore::open_with(path, device.fingerprint(), options) {
+        Ok(store) => {
+            let degradation =
+                (store.role() == StoreRole::ReadOnly).then(|| Degradation::StoreReadOnly {
+                    reason: reason.to_string(),
+                });
+            (Some(store), degradation)
+        }
+        Err(e) => {
+            counter("store.open_failures", 1);
+            paqoc_telemetry::event!("store.open_failed", error = e.to_string());
+            let degradation = Degradation::StoreUnavailable {
+                reason: e.to_string(),
+            };
+            (None, Some(degradation))
+        }
+    }
 }
 
 fn compile_inner(
@@ -309,7 +345,8 @@ fn compile_inner(
     device: &Device,
     source: &mut dyn PulseSource,
     opts: &PipelineOptions,
-    batch: Option<(BatchContext, Arc<SharedPulseTable>)>,
+    shared: Arc<SharedPulseTable>,
+    exec: Option<BatchContext>,
 ) -> Result<CompilationResult, CompileError> {
     let start = Instant::now();
     if let Some(requested) = &opts.backend {
@@ -457,65 +494,31 @@ fn compile_inner(
     drop(group_span);
 
     // 4. Criticality-aware customized gate generation + pulses, over a
-    //    pulse table optionally backed by the persistent store.
-    let mut table = PulseTable::new();
+    //    pulse table whose shared layer owns the persistent store. A
+    //    shared table that already has one (the bench suite pooling
+    //    compiles, the serve daemon) keeps its handle.
     let mut degradations: Vec<Degradation> = Vec::new();
-    let db_path = opts.pulse_db.clone().or_else(|| {
-        std::env::var_os("PAQOC_PULSE_DB")
-            .filter(|v| !v.is_empty())
-            .map(std::path::PathBuf::from)
-    });
-    if let Some(path) = db_path {
-        // In batch mode the persistent store belongs to the shared
-        // executor table (its log is single-handle; workers read through
-        // it and the write-behind sync is the one writer). An already
-        // store-backed shared table — the bench suite pooling compiles —
-        // keeps its handle.
-        let store_owner_has_one = batch
-            .as_ref()
-            .map(|(_, shared)| shared.has_store())
-            .unwrap_or(false);
-        if !store_owner_has_one {
+    if !shared.has_store() {
+        let db_path = opts.pulse_db.clone().or_else(|| {
+            std::env::var_os("PAQOC_PULSE_DB")
+                .filter(|v| !v.is_empty())
+                .map(std::path::PathBuf::from)
+        });
+        if let Some(path) = db_path {
             let mut store_opts = opts.store_options.clone();
             if store_opts.max_bytes.is_none() {
                 store_opts.max_bytes = std::env::var("PAQOC_PULSE_DB_MAX_BYTES")
                     .ok()
                     .and_then(|v| v.parse().ok());
             }
-            match paqoc_store::PulseStore::open_with(&path, device.fingerprint(), store_opts) {
-                Ok(store) => {
-                    if store.role() == paqoc_store::StoreRole::ReadOnly {
-                        // Reads still come through; only durability of
-                        // this run's fresh pulses is lost.
-                        let reason = if opts.store_options.read_only {
-                            "requested"
-                        } else {
-                            "lock-held"
-                        };
-                        degradations.push(Degradation::StoreReadOnly {
-                            reason: reason.to_string(),
-                        });
-                    }
-                    match &batch {
-                        Some((_, shared)) => shared.attach_store(store),
-                        None => table.attach_store(store),
-                    }
-                }
-                Err(e) => {
-                    // Persistence is an accelerator, not a requirement:
-                    // compile in-memory and record the concession.
-                    counter("store.open_failures", 1);
-                    paqoc_telemetry::event!("store.open_failed", error = e.to_string());
-                    degradations.push(Degradation::StoreUnavailable {
-                        reason: e.to_string(),
-                    });
-                }
+            let (store, degradation) = open_pulse_store(&path, device, store_opts);
+            degradations.extend(degradation);
+            if let Some(store) = store {
+                shared.attach_store(store);
             }
         }
     }
-    if let Some((_, shared)) = &batch {
-        table.attach_shared(shared.clone());
-    }
+    let mut table = PulseTable::over(shared.clone());
     let gen_opts = if opts.enable_generator {
         opts.generator
     } else {
@@ -531,27 +534,26 @@ fn compile_inner(
         pulse_retries: opts.pulse_retries,
         allow_estimator_fallback: opts.allow_estimator_fallback,
     };
-    let outcome = {
+    let generated = {
         let _s = span("generate");
-        try_generate_customized_gates_batched(
+        try_generate_customized_gates(
             &mut grouped,
             device,
             source,
             &mut table,
             &gen_opts,
             &limits,
-            batch.as_ref().map(|(ctx, _)| ctx),
-        )?
+            exec.as_ref(),
+        )
     };
-    degradations.extend(outcome.degradations);
     // Write-behind flush: everything generated this run becomes durable
-    // before the result is returned. In batch mode the shared table owns
-    // the store handle and its single-writer sync drains all shards.
-    let flush = match &batch {
-        Some((_, shared)) => shared.sync().map(|_| ()),
-        None => table.sync_store(),
-    };
-    if let Err(e) = flush {
+    // before the result is returned — also when generation failed, so
+    // the pulses it did produce are not lost. The shared table's
+    // single-writer sync drains all shards.
+    let flushed = shared.sync();
+    let outcome = generated?;
+    degradations.extend(outcome.degradations);
+    if let Err(e) = flushed {
         counter("store.sync_failures", 1);
         degradations.push(Degradation::StoreUnavailable {
             reason: format!("sync failed: {e}"),

@@ -6,20 +6,24 @@
 //! once. Misses are delegated to the [`PulseSource`] with warm starting
 //! enabled once the table has seen similar work.
 //!
-//! Two robustness layers sit around the source:
+//! The table holds only per-compile state (its local entries,
+//! warm-start unitaries and stats). Every table sits over a
+//! [`SharedPulseTable`], the one owner of pulses beyond this compile:
 //!
-//! * **Persistence** — an optional [`PulseStore`] behind the in-memory
-//!   map (read-through on miss, write-behind on success) makes pulse
-//!   reuse survive process restarts: a warm process performs zero
+//! * **Persistence** — after a local miss the table makes one
+//!   [`SharedPulseTable::lookup`] (shards, then a read-through of the
+//!   persistent store the shared table may own); generated pulses are
+//!   [`SharedPulseTable::publish`]ed there and reach disk only through
+//!   [`SharedPulseTable::sync`]. A warm process performs zero
 //!   generations for groups any earlier run already solved.
 //! * **Panic isolation** — every source invocation runs under a
 //!   `catch_unwind` supervisor. A panicking optimization surfaces as
 //!   the typed [`PulseGenError::SourcePanic`] instead of killing the
 //!   batch; the panic aborts the retry ladder immediately (a
 //!   deterministic crash must not fire once per retry) and the
-//!   offending key is *quarantined*: anything later generated for it is
-//!   returned but never cached, in memory or on disk, so a poisoned
-//!   entry cannot outlive the incident.
+//!   offending key is *quarantined* in the shared table: anything later
+//!   generated for it is returned but never cached, in memory or on
+//!   disk, so a poisoned entry cannot outlive the incident.
 //!
 //! Every cache key — in-memory and persistent alike — is prefixed with
 //! the device fingerprint ([`Device::fingerprint`]), so two devices
@@ -31,7 +35,6 @@ use paqoc_device::{Device, PulseEstimate, PulseGenError, PulseSource};
 use paqoc_exec::{BatchReport, JobStatus, Provenance, PulseJob, SharedPulseTable};
 use paqoc_math::{phase_aligned_distance, Matrix};
 use paqoc_mining::{canonical_code, CircuitGraph};
-use paqoc_store::PulseStore;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -65,24 +68,19 @@ impl CompileStats {
     }
 }
 
-/// The canonical-keyed pulse table.
-#[derive(Debug, Default)]
+/// The canonical-keyed pulse table of one compile.
+#[derive(Debug)]
 pub struct PulseTable {
     entries: HashMap<String, PulseEstimate>,
     /// Target unitaries of stored pulses (≤3-qubit groups), for
     /// similarity-based warm starting of new generations.
     unitaries: Vec<Matrix>,
     stats: CompileStats,
-    /// Optional persistent layer (read-through / write-behind).
-    store: Option<PulseStore>,
-    /// Optional cross-compile shared layer (the executor's sharded
-    /// cache). Consulted after a local miss, published to after a
-    /// successful generation; in batch mode it also owns the store
-    /// handle, since the append-only store is not multi-handle safe.
-    shared: Option<Arc<SharedPulseTable>>,
-    /// Composite keys whose generation has panicked: excluded from all
-    /// caching and from further source invocations.
-    quarantined: HashSet<String>,
+    /// The cross-compile layer (the executor's sharded cache): consulted
+    /// after a local miss, published to after a successful generation,
+    /// the holder of the quarantine set and the only owner of the
+    /// persistent store handle.
+    shared: Arc<SharedPulseTable>,
     /// Cached `"<fingerprint>/"` prefix of the last device seen, so
     /// hot-path key builds don't re-format the fingerprint each time.
     prefix: Option<KeyPrefix>,
@@ -95,17 +93,20 @@ pub struct PulseTable {
 }
 
 /// Precomputed `"<fingerprint-hex>/"` composite-key prefix for one
-/// device — the fix for the historical hot-path behaviour of
-/// re-formatting the fingerprint on every [`composite_key`] call.
+/// device, so hot-path key builds format the fingerprint once.
+///
+/// The full cache key is this prefix followed by the canonical group
+/// code. The in-memory tables and the persistent store all key by it,
+/// so pulses tuned for one device configuration can never be served
+/// to another.
 #[derive(Clone, Debug)]
-pub struct KeyPrefix {
+struct KeyPrefix {
     fingerprint: u64,
     prefix: String,
 }
 
 impl KeyPrefix {
-    /// Builds the prefix for `device`.
-    pub fn new(device: &Device) -> Self {
+    fn new(device: &Device) -> Self {
         let fingerprint = device.fingerprint();
         KeyPrefix {
             fingerprint,
@@ -113,13 +114,8 @@ impl KeyPrefix {
         }
     }
 
-    /// The fingerprint this prefix was built from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// The full composite key for `group` on this prefix's device.
-    pub fn key(&self, group: &[Instruction]) -> String {
+    fn key(&self, group: &[Instruction]) -> String {
         let code = group_key(group);
         let mut key = String::with_capacity(self.prefix.len() + code.len());
         key.push_str(&self.prefix);
@@ -146,14 +142,6 @@ pub fn group_key(group: &[Instruction]) -> String {
     canonical_code(&graph, &nodes)
 }
 
-/// The full cache key: the device fingerprint prefixed onto the
-/// canonical group code. Both the in-memory table and the persistent
-/// store key by this, so pulses tuned for one device configuration can
-/// never be served to another.
-pub fn composite_key(device: &Device, group: &[Instruction]) -> String {
-    KeyPrefix::new(device).key(group)
-}
-
 /// Best-effort string form of a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -174,37 +162,28 @@ fn group_arity(group: &[Instruction]) -> usize {
         .len()
 }
 
+impl Default for PulseTable {
+    fn default() -> Self {
+        PulseTable::new()
+    }
+}
+
 impl PulseTable {
-    /// Creates an empty table.
+    /// Creates an empty table over a fresh, store-less shared table.
     pub fn new() -> Self {
-        PulseTable::default()
+        PulseTable::over(Arc::new(SharedPulseTable::new()))
     }
 
-    /// Looks up or generates the pulse for a group.
-    ///
-    /// Infallible wrapper around [`PulseTable::try_pulse_for`] (single
-    /// attempt): on generation failure it reports a zero-fidelity
-    /// estimate at the source's typical latency so the failure stays
-    /// visible, but — unlike the historical behaviour — the sentinel is
-    /// **never cached**, so a later retry can still succeed.
-    pub fn pulse_for(
-        &mut self,
-        group: &[Instruction],
-        device: &Device,
-        source: &mut dyn PulseSource,
-        target_fidelity: f64,
-    ) -> PulseEstimate {
-        match self.try_pulse_for(group, device, source, target_fidelity, 0) {
-            Ok(estimate) => estimate,
-            Err(_) => {
-                let latency_ns = source.typical_latency_ns(group_arity(group), device);
-                PulseEstimate {
-                    latency_ns,
-                    latency_dt: device.spec().ns_to_dt(latency_ns),
-                    fidelity: 0.0,
-                    cost_units: 0.0,
-                }
-            }
+    /// Creates an empty table over `shared`, which may be pooled with
+    /// other compiles and may own a persistent store.
+    pub fn over(shared: Arc<SharedPulseTable>) -> Self {
+        PulseTable {
+            entries: HashMap::new(),
+            unitaries: Vec::new(),
+            stats: CompileStats::default(),
+            shared,
+            prefix: None,
+            fresh: HashSet::new(),
         }
     }
 
@@ -250,46 +229,36 @@ impl PulseTable {
             return Ok(hit);
         }
         // Shared layer: a concurrent compile (or an earlier batch over
-        // the same executor table) may already hold this pulse.
-        if let Some(shared) = &self.shared {
-            if let Some(hit) = shared.get(&key) {
-                self.stats.cache_hits += 1;
-                self.entries.insert(key, hit);
-                if paqoc_telemetry::enabled() {
-                    paqoc_telemetry::counter("table.shared_hit", 1);
-                    paqoc_telemetry::event!(
-                        "table.lookup",
-                        hit = true,
-                        shared = true,
-                        arity = group_arity(group) as u64,
-                        gates = group.len() as u64,
-                        latency_ns = hit.latency_ns,
-                    );
-                }
-                return Ok(hit);
-            }
-        }
-        // Read-through: a miss in this process may be a hit in the
-        // persistent store from an earlier run. `hit` (not `get`) bumps
-        // the record's LFU metadata so eviction keeps reused keys.
-        if let Some(store) = &mut self.store {
-            if let Some(hit) = store.hit(&key) {
-                self.stats.cache_hits += 1;
+        // the same executor table) may already hold this pulse, and a
+        // miss in this process may be a hit in the persistent store
+        // from an earlier run.
+        if let Some((hit, provenance)) = self.shared.lookup(&key) {
+            let persistent = provenance == Provenance::Store;
+            self.stats.cache_hits += 1;
+            if persistent {
                 self.stats.store_hits += 1;
-                self.entries.insert(key, hit);
-                if paqoc_telemetry::enabled() {
-                    paqoc_telemetry::counter("table.store_hit", 1);
-                    paqoc_telemetry::event!(
-                        "table.lookup",
-                        hit = true,
-                        persistent = true,
-                        arity = group_arity(group) as u64,
-                        gates = group.len() as u64,
-                        latency_ns = hit.latency_ns,
-                    );
-                }
-                return Ok(hit);
             }
+            self.entries.insert(key, hit);
+            if paqoc_telemetry::enabled() {
+                paqoc_telemetry::counter(
+                    if persistent {
+                        "table.store_hit"
+                    } else {
+                        "table.shared_hit"
+                    },
+                    1,
+                );
+                paqoc_telemetry::event!(
+                    "table.lookup",
+                    hit = true,
+                    shared = !persistent,
+                    persistent = persistent,
+                    arity = group_arity(group) as u64,
+                    gates = group.len() as u64,
+                    latency_ns = hit.latency_ns,
+                );
+            }
+            return Ok(hit);
         }
         if paqoc_telemetry::enabled() {
             paqoc_telemetry::counter(&format!("table.cache_miss.q{}", group_arity(group)), 1);
@@ -332,12 +301,9 @@ impl PulseTable {
             match outcome {
                 Err(payload) => {
                     let message = panic_message(payload.as_ref());
-                    self.quarantined.insert(key.clone());
-                    if let Some(shared) = &self.shared {
-                        // Propagate the quarantine so no concurrent
-                        // compile re-runs the deterministic crash.
-                        shared.quarantine(&key);
-                    }
+                    // Shared so no concurrent compile re-runs the
+                    // deterministic crash.
+                    self.shared.quarantine(&key);
                     self.stats.source_panics += 1;
                     paqoc_telemetry::counter("table.source_panics", 1);
                     paqoc_telemetry::event!(
@@ -369,25 +335,10 @@ impl PulseTable {
                     );
                     // A key that has ever panicked is poisoned: serve
                     // the estimate but never cache it.
-                    if !self.quarantined.contains(&key) {
-                        if let Some(shared) = &self.shared {
-                            // Write-behind persistence runs through the
-                            // shared table in batch mode (it owns the
-                            // single store handle).
-                            shared.publish(&key, estimate);
-                        }
-                        if let Some(store) = &mut self.store {
-                            if let Err(e) = store.put(&key, estimate) {
-                                // Persistence is best-effort at this
-                                // layer: losing the write-behind must
-                                // not fail the compilation.
-                                paqoc_telemetry::counter("store.append_failures", 1);
-                                paqoc_telemetry::event!(
-                                    "store.append_failed",
-                                    error = e.to_string(),
-                                );
-                            }
-                        }
+                    // Persistence is write-behind: the shared table
+                    // buffers the pulse until its single-writer sync.
+                    if !self.shared.is_quarantined(&key) {
+                        self.shared.publish(&key, estimate);
                         self.entries.insert(key, estimate);
                     }
                     return Ok(estimate);
@@ -416,71 +367,22 @@ impl PulseTable {
         self.stats
     }
 
-    /// Attaches a persistent store as the read-through/write-behind
-    /// layer. The store's fingerprint binding happened at
-    /// [`PulseStore::open`]; keys here additionally carry the
-    /// fingerprint prefix, so even a mis-opened store cannot serve
-    /// foreign pulses.
-    pub fn attach_store(&mut self, store: PulseStore) {
-        self.store = Some(store);
-    }
-
-    /// The attached persistent store, if any.
-    pub fn store(&self) -> Option<&PulseStore> {
-        self.store.as_ref()
-    }
-
-    /// Durably syncs the attached store (no-op without one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's fsync failure.
-    pub fn sync_store(&mut self) -> Result<(), paqoc_store::StoreError> {
-        match &mut self.store {
-            Some(store) => {
-                store.sync()?;
-                // Post-sync maintenance: byte-budget eviction and
-                // dead-byte compaction for a writer, refresh for a
-                // reader.
-                store.maintain()?;
-                Ok(())
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Keys currently quarantined after a source panic.
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.len()
-    }
-
-    /// The composite key for `group` on `device`, served from the
-    /// cached per-table [`KeyPrefix`] so the fingerprint prefix is
-    /// formatted once per device, not once per lookup.
+    /// The cache key for `group` on `device`: the device fingerprint
+    /// prefixed onto the canonical group code. The prefix is cached per
+    /// table, so the fingerprint is formatted once per device, not once
+    /// per lookup.
     pub fn key_for(&mut self, device: &Device, group: &[Instruction]) -> String {
         let fingerprint = device.fingerprint();
-        if !matches!(&self.prefix, Some(p) if p.fingerprint() == fingerprint) {
-            self.prefix = Some(KeyPrefix::new(device));
-        }
-        match &self.prefix {
-            Some(p) => p.key(group),
-            None => composite_key(device, group),
-        }
+        let prefix = match &mut self.prefix {
+            Some(p) if p.fingerprint == fingerprint => p,
+            slot => slot.insert(KeyPrefix::new(device)),
+        };
+        prefix.key(group)
     }
 
-    /// Attaches the executor's shared pulse table as a cross-compile
-    /// layer: consulted after a local miss, published to on success,
-    /// quarantine-propagated on panic. In batch mode the shared table
-    /// also owns the persistent store handle (see
-    /// [`SharedPulseTable::sync`]), so don't *also* attach a local
-    /// store for the same file.
-    pub fn attach_shared(&mut self, shared: Arc<SharedPulseTable>) {
-        self.shared = Some(shared);
-    }
-
-    /// The attached shared layer, if any.
-    pub fn shared(&self) -> Option<&Arc<SharedPulseTable>> {
-        self.shared.as_ref()
+    /// The shared table this table sits over.
+    pub fn shared(&self) -> &Arc<SharedPulseTable> {
+        &self.shared
     }
 
     /// `true` when the local (in-process) layer holds `key`.
@@ -514,8 +416,9 @@ impl PulseTable {
                     self.fresh.insert(job.key.clone());
                 }
                 JobStatus::Panicked(_) => {
+                    // The executor already quarantined the key in the
+                    // shared table.
                     self.stats.source_panics += 1;
-                    self.quarantined.insert(job.key.clone());
                 }
                 JobStatus::Failed(_) | JobStatus::Skipped(_) => {
                     // Falls through to the sequential ladder, which
@@ -579,8 +482,12 @@ mod tests {
         let mut table = PulseTable::new();
         let mut model = AnalyticModel::new();
         let g = [inst(GateKind::Cx, &[0, 1])];
-        let first = table.pulse_for(&g, &dev, &mut model, 0.999);
-        let second = table.pulse_for(&g, &dev, &mut model, 0.999);
+        let first = table
+            .try_pulse_for(&g, &dev, &mut model, 0.999, 0)
+            .expect("analytic pulse");
+        let second = table
+            .try_pulse_for(&g, &dev, &mut model, 0.999, 0)
+            .expect("analytic pulse");
         assert_eq!(first, second);
         let stats = table.stats();
         assert_eq!(stats.pulses_generated, 1);
@@ -594,8 +501,12 @@ mod tests {
         let dev = Device::grid5x5();
         let mut table = PulseTable::new();
         let mut model = AnalyticModel::new();
-        table.pulse_for(&[inst(GateKind::Cx, &[0, 1])], &dev, &mut model, 0.999);
-        table.pulse_for(&[inst(GateKind::Cx, &[5, 6])], &dev, &mut model, 0.999);
+        table
+            .try_pulse_for(&[inst(GateKind::Cx, &[0, 1])], &dev, &mut model, 0.999, 0)
+            .expect("analytic pulse");
+        table
+            .try_pulse_for(&[inst(GateKind::Cx, &[5, 6])], &dev, &mut model, 0.999, 0)
+            .expect("analytic pulse");
         assert_eq!(table.stats().pulses_generated, 1);
         assert_eq!(table.stats().cache_hits, 1);
     }
@@ -637,8 +548,12 @@ mod tests {
         let mut table = PulseTable::new();
         let mut model = AnalyticModel::new();
         let g = [inst(GateKind::Cx, &[0, 1])];
-        let on_slow = table.pulse_for(&g, &slow, &mut model, 0.999);
-        let on_fast = table.pulse_for(&g, &fast, &mut model, 0.999);
+        let on_slow = table
+            .try_pulse_for(&g, &slow, &mut model, 0.999, 0)
+            .expect("analytic pulse");
+        let on_fast = table
+            .try_pulse_for(&g, &fast, &mut model, 0.999, 0)
+            .expect("analytic pulse");
         assert_eq!(table.stats().pulses_generated, 2, "no cross-device hit");
         assert_eq!(table.stats().cache_hits, 0);
         assert!(
@@ -646,8 +561,12 @@ mod tests {
             "doubled coupler limit must shorten the pulse"
         );
         // And each device still hits its own entry.
-        table.pulse_for(&g, &slow, &mut model, 0.999);
-        table.pulse_for(&g, &fast, &mut model, 0.999);
+        table
+            .try_pulse_for(&g, &slow, &mut model, 0.999, 0)
+            .expect("analytic pulse");
+        table
+            .try_pulse_for(&g, &fast, &mut model, 0.999, 0)
+            .expect("analytic pulse");
         assert_eq!(table.stats().cache_hits, 2);
     }
 
@@ -704,7 +623,8 @@ mod tests {
         }
         assert_eq!(table.stats().retries, 0, "no retry after a panic");
         assert_eq!(table.stats().source_panics, 1);
-        assert_eq!(table.quarantined(), 1);
+        let key = table.key_for(&dev, &g);
+        assert!(table.shared().is_quarantined(&key));
     }
 
     #[test]
@@ -742,23 +662,30 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let dev = Device::grid5x5();
         let g = [inst(GateKind::Cx, &[0, 1])];
+        let open =
+            || {
+                Arc::new(SharedPulseTable::new().with_store(
+                    paqoc_store::PulseStore::open(&path, dev.fingerprint()).expect("open"),
+                ))
+            };
         let cold = {
-            let mut table = PulseTable::new();
-            table.attach_store(
-                paqoc_store::PulseStore::open(&path, dev.fingerprint()).expect("open"),
-            );
+            let shared = open();
+            let mut table = PulseTable::over(shared.clone());
             let mut model = AnalyticModel::new();
-            let est = table.pulse_for(&g, &dev, &mut model, 0.999);
+            let est = table
+                .try_pulse_for(&g, &dev, &mut model, 0.999, 0)
+                .expect("analytic pulse");
             assert_eq!(table.stats().pulses_generated, 1);
-            table.sync_store().expect("sync");
+            assert_eq!(shared.sync().expect("sync"), 1);
             est
         };
         // A brand-new table (new process, conceptually) backed by the
         // same file serves the pulse without generating.
-        let mut table = PulseTable::new();
-        table.attach_store(paqoc_store::PulseStore::open(&path, dev.fingerprint()).expect("open"));
+        let mut table = PulseTable::over(open());
         let mut model = AnalyticModel::new();
-        let warm = table.pulse_for(&g, &dev, &mut model, 0.999);
+        let warm = table
+            .try_pulse_for(&g, &dev, &mut model, 0.999, 0)
+            .expect("store hit");
         assert_eq!(cold, warm);
         assert_eq!(table.stats().pulses_generated, 0);
         assert_eq!(table.stats().cache_hits, 1);

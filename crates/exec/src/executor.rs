@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 /// One unit of pulse-generation work.
 #[derive(Clone, Debug)]
 pub struct PulseJob {
-    /// Cache key (the caller's `composite_key`); opaque to the
-    /// executor, which shards, dedups and seeds by it.
+    /// Cache key (the caller's fingerprint-prefixed group key); opaque
+    /// to the executor, which shards, dedups and seeds by it.
     pub key: String,
     /// The gate group to realize (earlier instructions applied first).
     pub group: Vec<Instruction>,

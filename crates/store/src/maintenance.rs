@@ -44,9 +44,13 @@ where
             let (lock, cvar) = &*thread_stop;
             loop {
                 {
+                    // The flag is checked under the lock before every
+                    // wait, so a `stop()` that lands before this thread
+                    // first waits is not lost (and spurious wakeups
+                    // re-wait instead of ticking early).
                     let stopped = lock.lock().unwrap_or_else(|p| p.into_inner());
                     let (guard, _timeout) = cvar
-                        .wait_timeout(stopped, interval)
+                        .wait_timeout_while(stopped, interval, |stopped| !*stopped)
                         .unwrap_or_else(|p| p.into_inner());
                     if *guard {
                         return;
@@ -129,11 +133,19 @@ mod tests {
     fn stop_before_first_tick_never_ticks() {
         let ticks = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&ticks);
+        let started = std::time::Instant::now();
         let handle = spawn_maintenance("paqoc-maint-idle", Duration::from_secs(3600), move || {
             seen.fetch_add(1, Ordering::SeqCst);
             true
         });
+        // Usually lands before the thread's first wait: the stop must
+        // still be seen, not slept through for the whole interval.
         handle.stop();
         assert_eq!(ticks.load(Ordering::SeqCst), 0);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "stop took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, formatting.
+# Tier-1 verification: release build, full workspace test suite, formatting.
 # Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# Every member crate's unit and integration tests, not just the root
+# package's (a bare `cargo test` at the root runs only tests/*.rs).
+cargo test -q --workspace
 
 echo "== bench --quick --check =="
 cargo run --release -p paqoc-bench --bin bench -- --quick --check \

@@ -34,7 +34,7 @@ fn all_benchmarks_roundtrip_sample_exact_on_every_backend() {
             let mut source = AnalyticModel::new();
             let result = try_compile(&circuit, &device, &mut source, &opts)
                 .unwrap_or_else(|e| panic!("{name}/{}: compile failed: {e}", b.name));
-            let program = lower_to_program(b.name, &result, &device, backend.as_ref());
+            let program = lower_to_program(b.name, &result, &device, &backend);
             let wire = export(&program);
             let back =
                 import(&wire).unwrap_or_else(|e| panic!("{name}/{}: import failed: {e}", b.name));

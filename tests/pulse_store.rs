@@ -1,8 +1,10 @@
 //! End-to-end tests of the persistent pulse store through the pipeline:
 //! cold→warm double compilation of all 17 embedded benchmarks (the warm
-//! pass must perform **zero** pulse generations), warm-start of the real
-//! GRAPE source, panic-storm isolation, and graceful degradation when
-//! the store path is unusable.
+//! pass must perform **zero** pulse generations, sequential and batched
+//! alike), warm-start of the real GRAPE source, panic-storm isolation,
+//! pulse reuse through a caller's shared table, persistence of a failed
+//! compile's pulses, and graceful degradation when the store path is
+//! unusable.
 //!
 //! Every compilation in this binary passes an explicit
 //! `PipelineOptions::pulse_db` (or sets it to an unwritable path), so
@@ -10,11 +12,16 @@
 //! fallback cannot contaminate its neighbours.
 
 use paqoc::circuit::Circuit;
-use paqoc::core::{try_compile, CompilationResult, Degradation, PipelineOptions};
+use paqoc::core::{
+    try_compile, try_compile_batch, CompilationResult, CompileError, Degradation, PipelineOptions,
+};
 use paqoc::device::{AnalyticModel, Device, FaultConfig, FaultySource};
+use paqoc::exec::{AnalyticFactory, FaultyAnalyticFactory, SharedPulseTable};
 use paqoc::grape::GrapeSource;
+use paqoc::store::PulseStore;
 use paqoc::workloads::all_benchmarks;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn tmp_db(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("paqoc-pulse-store-it-{}", std::process::id()));
@@ -31,16 +38,35 @@ fn opts_with_db(db: PathBuf) -> PipelineOptions {
     }
 }
 
-fn compile_all(db: &Path) -> Vec<(&'static str, CompilationResult)> {
+/// How [`compile_all`] drives the pipeline.
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    /// `try_compile` with one `AnalyticModel` per benchmark.
+    Sequential,
+    /// `try_compile_batch` on one worker with the `AnalyticFactory`.
+    Batch,
+}
+
+fn compile_all(db: &Path, mode: Mode) -> Vec<(&'static str, CompilationResult)> {
     let device = Device::grid5x5();
-    let opts = opts_with_db(db.to_path_buf());
+    let opts = PipelineOptions {
+        threads: Some(1),
+        ..opts_with_db(db.to_path_buf())
+    };
     all_benchmarks()
         .iter()
         .map(|b| {
             let circuit = (b.build)();
-            let mut source = AnalyticModel::new();
-            let r = try_compile(&circuit, &device, &mut source, &opts)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", b.name));
+            let r = match mode {
+                Mode::Sequential => {
+                    let mut source = AnalyticModel::new();
+                    try_compile(&circuit, &device, &mut source, &opts)
+                }
+                Mode::Batch => {
+                    try_compile_batch(&circuit, &device, Arc::new(AnalyticFactory), &opts)
+                }
+            }
+            .unwrap_or_else(|e| panic!("{} ({mode:?}) failed: {e}", b.name));
             (b.name, r)
         })
         .collect()
@@ -49,34 +75,124 @@ fn compile_all(db: &Path) -> Vec<(&'static str, CompilationResult)> {
 /// The tentpole acceptance criterion: after one cold compilation of all
 /// 17 benchmarks, a second compilation of the same set performs zero
 /// pulse generations — every estimate is served from the store — and
-/// produces identical schedules.
+/// produces identical schedules. The sequential and the batch compile
+/// paths must read the one store identically.
 #[test]
 fn warm_pass_over_all_benchmarks_generates_zero_pulses() {
     let db = tmp_db("warm_all.db");
-    let cold = compile_all(&db);
+    let cold = compile_all(&db, Mode::Sequential);
     assert!(
         cold.iter().any(|(_, r)| r.stats.pulses_generated > 0),
         "cold pass should have generated at least one pulse"
     );
 
-    let warm = compile_all(&db);
-    for ((name, c), (_, w)) in cold.iter().zip(&warm) {
+    for mode in [Mode::Sequential, Mode::Batch] {
+        let warm = compile_all(&db, mode);
+        for ((name, c), (_, w)) in cold.iter().zip(&warm) {
+            assert_eq!(
+                w.stats.pulses_generated, 0,
+                "{name} ({mode:?}): warm pass generated {} pulses",
+                w.stats.pulses_generated
+            );
+            assert!(
+                w.stats.store_hits > 0,
+                "{name} ({mode:?}): warm pass never hit the store"
+            );
+            assert!(
+                w.degradations.is_empty(),
+                "{name} ({mode:?}): warm pass degraded: {:?}",
+                w.degradations
+            );
+            assert_eq!(
+                w.latency_dt, c.latency_dt,
+                "{name} ({mode:?}): warm latency differs"
+            );
+            assert_eq!(w.esp, c.esp, "{name} ({mode:?}): warm esp differs");
+        }
+    }
+}
+
+/// A sequential `try_compile` runs over the caller's shared table: a
+/// second compile over it is served entirely from pulses the first one
+/// published there, without touching the store.
+#[test]
+fn sequential_compile_reuses_a_callers_shared_table() {
+    let db = tmp_db("shared_sequential.db");
+    let device = Device::grid5x5();
+    let circuit = (all_benchmarks()[0].build)();
+    let shared = Arc::new(SharedPulseTable::new());
+    let opts = PipelineOptions {
+        shared_table: Some(shared.clone()),
+        ..opts_with_db(db)
+    };
+    let mut s1 = AnalyticModel::new();
+    let first = try_compile(&circuit, &device, &mut s1, &opts).expect("first compile");
+    assert!(first.stats.pulses_generated > 0);
+    assert!(shared.has_store(), "the shared table owns the store");
+    assert_eq!(shared.len(), first.pulse_table.len());
+
+    let mut s2 = AnalyticModel::new();
+    let second = try_compile(&circuit, &device, &mut s2, &opts).expect("second compile");
+    assert_eq!(second.stats.pulses_generated, 0);
+    assert!(second.stats.cache_hits > 0);
+    assert_eq!(
+        second.stats.store_hits, 0,
+        "hits must come from the shared shards, not the store"
+    );
+    assert_eq!(second.latency_dt, first.latency_dt);
+    assert_eq!(second.pulse_table, first.pulse_table);
+}
+
+/// A compile that fails after generating some pulses (a convergence
+/// storm with estimator fallback disabled) still flushes what it
+/// generated, sequential and batched alike: every pulse it published
+/// to its shared table is in the store on reopen.
+#[test]
+fn failed_compile_still_persists_its_generated_pulses() {
+    let device = Device::grid5x5();
+    let circuit = (all_benchmarks()[0].build)();
+    let storm = FaultConfig::convergence_storm(1, 0.3);
+    for mode in [Mode::Sequential, Mode::Batch] {
+        let db = tmp_db(&format!("failed_compile_{mode:?}.db"));
+        let shared = Arc::new(SharedPulseTable::new());
+        let opts = PipelineOptions {
+            allow_estimator_fallback: false,
+            pulse_retries: 0,
+            threads: Some(1),
+            shared_table: Some(shared.clone()),
+            ..opts_with_db(db.clone())
+        };
+        let result = match mode {
+            Mode::Sequential => {
+                let mut source = FaultySource::new(AnalyticModel::new(), storm);
+                try_compile(&circuit, &device, &mut source, &opts)
+            }
+            Mode::Batch => try_compile_batch(
+                &circuit,
+                &device,
+                Arc::new(FaultyAnalyticFactory::new(storm)),
+                &opts,
+            ),
+        };
+        let err = result.expect_err("a singleton convergence failure without fallback is an error");
+        assert!(
+            matches!(err, CompileError::PulseSource { .. }),
+            "{mode:?}: unexpected error: {err}"
+        );
+        let generated = shared.len();
+        assert!(
+            generated > 0,
+            "{mode:?}: the storm left no clean generation"
+        );
+        drop(opts);
+        drop(shared);
+
+        let store = PulseStore::open(&db, device.fingerprint()).expect("reopen");
         assert_eq!(
-            w.stats.pulses_generated, 0,
-            "{name}: warm pass generated {} pulses",
-            w.stats.pulses_generated
+            store.len(),
+            generated,
+            "{mode:?}: every pulse generated before the failure must be persisted"
         );
-        assert!(
-            w.stats.store_hits > 0,
-            "{name}: warm pass never hit the store"
-        );
-        assert!(
-            w.degradations.is_empty(),
-            "{name}: warm pass degraded: {:?}",
-            w.degradations
-        );
-        assert_eq!(w.latency_dt, c.latency_dt, "{name}: warm latency differs");
-        assert_eq!(w.esp, c.esp, "{name}: warm esp differs");
     }
 }
 
